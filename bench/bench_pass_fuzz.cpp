@@ -12,7 +12,8 @@
  *
  *  2. "sharded determinism": the same fuzzer through the parallel
  *     campaign runner at shards=1 and shards=2; the merged results
- *     must be byte-identical (the fuzzer is iteration-independent).
+ *     must be byte-identical — equal fuzz::renderCampaignResult
+ *     renderings (the fuzzer is iteration-independent).
  *
  *  3. "campaign": the end-to-end NNSmith campaign of
  *     bench_kernels.cpp (identical heavy-tensor generator config and
@@ -77,21 +78,6 @@ passFuzzCampaign(int shards, uint64_t seed, size_t iters,
         return std::vector<std::unique_ptr<backends::Backend>>{};
     };
     return config;
-}
-
-bool
-sameMerged(const fuzz::CampaignResult& a, const fuzz::CampaignResult& b)
-{
-    auto keys = [](const fuzz::CampaignResult& r) {
-        std::vector<std::string> out;
-        for (const auto& [key, bug] : r.bugs)
-            out.push_back(key);
-        return out;
-    };
-    return a.iterations == b.iterations &&
-           a.coverAll.branches() == b.coverAll.branches() &&
-           a.coverPass.branches() == b.coverPass.branches() &&
-           keys(a) == keys(b) && a.instanceKeys == b.instanceKeys;
 }
 
 /**
@@ -187,7 +173,8 @@ main(int argc, char** argv)
     const auto sharded = fuzz::runParallelCampaign(passFuzzCampaign(
         std::max(2, options.shards), options.seed, options.iters,
         options.workerMode));
-    const bool identical = sameMerged(serial, sharded);
+    const bool identical = fuzz::renderCampaignResult(serial) ==
+                           fuzz::renderCampaignResult(sharded);
     std::printf("sharded pass-fuzz campaign identical (1 vs %d shards): "
                 "%s; %zu bugs, %zu distinct sequences\n",
                 std::max(2, options.shards), identical ? "yes" : "NO — BUG",

@@ -6,8 +6,9 @@
  * pass registries (backends/graph_pass.h, tirlite/tir_passes.h).
  *
  * For each backend, a sharded PassSequenceFuzzer campaign runs at
- * shards 1, 2 and 4; the merged results must be byte-identical (the
- * fuzzer is iteration-independent). The sequence-coverage bins each
+ * shards 1, 2 and 4; the merged results must be byte-identical, i.e.
+ * render to equal fuzz::renderCampaignResult strings (the fuzzer is
+ * iteration-independent). The sequence-coverage bins each
  * campaign explored are then reconstructed from the merged distinct
  * sequences via the shared sequenceCoverageBins() helper, and the
  * three bin sets are decomposed into the 7-region Venn. Pass names are
@@ -70,21 +71,6 @@ vennCampaign(const std::string& backend, const std::string& component,
         return owned;
     };
     return config;
-}
-
-bool
-sameMerged(const fuzz::CampaignResult& a, const fuzz::CampaignResult& b)
-{
-    auto keys = [](const fuzz::CampaignResult& r) {
-        std::vector<std::string> out;
-        for (const auto& [key, bug] : r.bugs)
-            out.push_back(key);
-        return out;
-    };
-    return a.iterations == b.iterations &&
-           a.coverAll.branches() == b.coverAll.branches() &&
-           a.coverPass.branches() == b.coverPass.branches() &&
-           keys(a) == keys(b) && a.instanceKeys == b.instanceKeys;
 }
 
 /** Reconstruct the sequence-coverage bins a campaign explored from its
@@ -177,15 +163,17 @@ main(int argc, char** argv)
                                     {"TVMLite", "tvmlite", {}, {}, false},
                                     {"TrtLite", "trtlite", {}, {}, false}};
     for (auto& run : runs) {
-        std::vector<fuzz::CampaignResult> results;
+        std::vector<std::string> renders;
         for (const int shards : {1, 2, 4}) {
-            results.push_back(fuzz::runParallelCampaign(vennCampaign(
+            auto result = fuzz::runParallelCampaign(vennCampaign(
                 run.backend, run.component, shards, options.seed,
-                options.iters, options.workerMode)));
+                options.iters, options.workerMode));
+            renders.push_back(fuzz::renderCampaignResult(result));
+            if (shards == 1)
+                run.merged = std::move(result);
         }
-        run.shardsIdentical = sameMerged(results[0], results[1]) &&
-                              sameMerged(results[0], results[2]);
-        run.merged = std::move(results[0]);
+        run.shardsIdentical =
+            renders[0] == renders[1] && renders[0] == renders[2];
         run.bins = binsOf(run.merged);
         std::printf("%s: %zu iters, %zu distinct sequences, %zu seq "
                     "bins, %zu bugs; shards {1,2,4} identical: %s\n",

@@ -16,8 +16,10 @@
  *     failing subsequences.
  *
  *  3. "shard invariance": the minimizing campaign at shards 1, 2 and 4
- *     must merge byte-identically (minimization is per-iteration
- *     deterministic, so it composes with the sharded runner).
+ *     must merge byte-identically — equal fuzz::renderCampaignResult
+ *     renderings, minimized repros included (minimization is
+ *     per-iteration deterministic, so it composes with the sharded
+ *     runner).
  *
  *  4. "overhead": wall-clock campaign throughput with minimization off
  *     vs on, next to the committed BENCH_pass_fuzz.json campaign
@@ -139,23 +141,6 @@ audit(const fuzz::CampaignResult& result,
     return out;
 }
 
-bool
-sameMerged(const fuzz::CampaignResult& a, const fuzz::CampaignResult& b)
-{
-    auto keys = [](const fuzz::CampaignResult& r) {
-        std::vector<std::string> out;
-        for (const auto& [key, bug] : r.bugs) {
-            out.push_back(key + "#" + std::to_string(bug.originalSize) +
-                          ">" + std::to_string(bug.minimizedSize));
-        }
-        return out;
-    };
-    return a.iterations == b.iterations &&
-           a.coverAll.branches() == b.coverAll.branches() &&
-           a.coverPass.branches() == b.coverPass.branches() &&
-           keys(a) == keys(b) && a.instanceKeys == b.instanceKeys;
-}
-
 } // namespace
 
 int
@@ -220,8 +205,9 @@ main(int argc, char** argv)
     const auto four = fuzz::runParallelCampaign(nnsmithCampaign(
         4, options.seed, options.iters, /*minimize=*/true, "",
         options.workerMode));
-    const bool identical =
-        sameMerged(minimized, two) && sameMerged(minimized, four);
+    const std::string rendered = fuzz::renderCampaignResult(minimized);
+    const bool identical = rendered == fuzz::renderCampaignResult(two) &&
+                           rendered == fuzz::renderCampaignResult(four);
     std::printf("sharded minimizing campaign identical "
                 "(1 vs 2 vs 4 shards): %s\n",
                 identical ? "yes" : "NO — BUG");

@@ -87,10 +87,14 @@
 #define NNSMITH_BENCH_BENCH_UTIL_H
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -408,6 +412,129 @@ printVenn3(const char* title, const fuzz::CampaignResult& a,
                 only(B, A, C), c.fuzzer.c_str(), only(C, A, B));
     std::printf("  common(all three)=%zu\n",
                 A.intersect(B).intersect(C).count());
+}
+
+/** Relative paths + raw bytes of every file under @p dir, in sorted
+ *  path order — equal strings mean byte-identical report trees. */
+inline std::string
+treeDigest(const std::filesystem::path& dir)
+{
+    std::vector<std::filesystem::path> files;
+    if (std::filesystem::exists(dir)) {
+        for (const auto& entry :
+             std::filesystem::recursive_directory_iterator(dir)) {
+            if (entry.is_regular_file())
+                files.push_back(entry.path());
+        }
+    }
+    std::sort(files.begin(), files.end());
+    std::string digest;
+    for (const auto& path : files) {
+        digest += std::filesystem::relative(path, dir).string();
+        digest += '\0';
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        digest += buffer.str();
+        digest += '\0';
+    }
+    return digest;
+}
+
+/** One cell of an identity matrix. */
+struct IdentityCell {
+    std::string variant; ///< value on the variant axis ("" without one)
+    fuzz::WorkerMode mode = fuzz::WorkerMode::kThread;
+    int shards = 1;
+    double seconds = 0.0;   ///< wall time of the campaign alone
+    bool identical = false; ///< rendering + report tree match cell 0
+};
+
+/** What an identity matrix concluded. */
+struct IdentityMatrix {
+    std::vector<IdentityCell> cells;
+    fuzz::CampaignResult reference; ///< cell 0's merged result
+    std::string referenceTree;      ///< cell 0's report tree digest
+
+    bool identical() const
+    {
+        return std::all_of(cells.begin(), cells.end(),
+                           [](const IdentityCell& c) { return c.identical; });
+    }
+};
+
+/** Runs one cell's campaign; @p report_dir is the cell's own report
+ *  directory, or "" when the matrix writes none. */
+using IdentityCellRunner = std::function<fuzz::CampaignResult(
+    const IdentityCell& cell, const std::string& report_dir)>;
+
+/**
+ * The identity matrix: every value of @p variants on the @p axis
+ * (one unnamed value when empty) × workers {thread, process} × shards
+ * {1, 2, 4}, variant outermost. Each cell is compared with cell 0 by
+ * fuzz::renderCampaignResult and — when @p report_base is non-empty —
+ * by the bytes of the report tree it wrote into its own subdirectory
+ * of @p report_base. Prints one line per cell and a MISMATCH line for
+ * every cell that diverges.
+ */
+inline IdentityMatrix
+runIdentityMatrix(const std::filesystem::path& report_base,
+                  const IdentityCellRunner& run, const char* axis = "",
+                  std::vector<std::string> variants = {})
+{
+    if (variants.empty())
+        variants.emplace_back();
+    IdentityMatrix matrix;
+    std::string reference_render;
+    for (const auto& variant : variants) {
+        for (const auto mode :
+             {fuzz::WorkerMode::kThread, fuzz::WorkerMode::kProcess}) {
+            for (const int shards : {1, 2, 4}) {
+                IdentityCell cell{variant, mode, shards};
+                std::string label;
+                if (!variant.empty())
+                    label = std::string(axis) + "=" + variant + " ";
+                label += "mode=" + std::string(fuzz::workerModeName(mode)) +
+                         " shards=" + std::to_string(shards);
+                std::string report_dir;
+                if (!report_base.empty()) {
+                    report_dir =
+                        (report_base /
+                         ((variant.empty() ? "" : variant + "-") +
+                          fuzz::workerModeName(mode) + "-" +
+                          std::to_string(shards)))
+                            .string();
+                    std::filesystem::remove_all(report_dir);
+                }
+                const auto start = std::chrono::steady_clock::now();
+                auto result = run(cell, report_dir);
+                cell.seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+                const std::string render = fuzz::renderCampaignResult(result);
+                const std::string tree = treeDigest(report_dir);
+                if (matrix.cells.empty()) {
+                    reference_render = render;
+                    matrix.referenceTree = tree;
+                }
+                const bool result_same = render == reference_render;
+                const bool tree_same = tree == matrix.referenceTree;
+                cell.identical = result_same && tree_same;
+                if (!cell.identical)
+                    std::printf("MISMATCH: %s result_same=%d tree_same=%d\n",
+                                label.c_str(), result_same, tree_same);
+                std::printf("%s  %.3fs  iters=%zu coverage=%zu bugs=%zu  "
+                            "identical=%s\n",
+                            label.c_str(), cell.seconds, result.iterations,
+                            result.coverAll.count(), result.bugs.size(),
+                            cell.identical ? "yes" : "NO — BUG");
+                if (matrix.cells.empty())
+                    matrix.reference = std::move(result);
+                matrix.cells.push_back(std::move(cell));
+            }
+        }
+    }
+    return matrix;
 }
 
 } // namespace nnsmith::bench

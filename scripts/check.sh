@@ -37,9 +37,14 @@ echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== minimization smoke: tiny --minimize campaign writes repro reports =="
+# The telemetry flags make this run the smoke source for the
+# trace/metrics validation below. (bench_observability cannot be the
+# source: it opens and closes the global trace per matrix cell.)
 rm -rf build/repro-smoke
+rm -f build/trace-smoke.jsonl build/metrics-smoke.json
 ./build/bench/bench_reduce --iters 60 --report-dir build/repro-smoke \
-    --out build/BENCH_reduce_smoke.json
+    --out build/BENCH_reduce_smoke.json \
+    --trace-out build/trace-smoke.jsonl --metrics-out build/metrics-smoke.json
 if ! ls build/repro-smoke/*.repro.txt >/dev/null 2>&1; then
     echo "check.sh: --report-dir produced no .repro.txt report"
     exit 1
@@ -51,20 +56,13 @@ echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
 # byte-identically.
 ./build/bench/bench_pass_venn --iters 60 --out build/BENCH_pass_venn_smoke.json
 
-echo "== fabric probe: thread vs process workers merge byte-identically =="
-# A 60-iteration minimizing campaign across {thread, process} x
-# shards {1, 2, 4} — covering --worker-mode process --workers 2 vs
-# --workers 1 — exits nonzero unless every cell's merged result and
-# repro report tree match. The telemetry flags double as the smoke
-# source for the trace/metrics validation below.
-rm -f build/trace-smoke.jsonl build/metrics-smoke.json
-./build/bench/bench_fabric --iters 60 --out build/BENCH_fabric_smoke.json \
-    --trace-out build/trace-smoke.jsonl --metrics-out build/metrics-smoke.json
-
-echo "== observability probe: telemetry inertness across the matrix =="
-# Exits nonzero unless merged results, report trees and regressions.tsv
-# are byte-identical with telemetry {off, on} across {thread, process}
-# x shards {1, 2, 4} (the inertness contract, DESIGN.md "Telemetry").
+echo "== observability probe: fabric identity + telemetry inertness =="
+# Exits nonzero unless every cell's canonical result rendering
+# (regression verdicts included) and repro report tree are
+# byte-identical across telemetry {off, on} x {thread, process} x
+# shards {1, 2, 4}. The telemetry-off cells are the campaign fabric's
+# thread-vs-process identity gate; the telemetry-on cells are the
+# inertness contract (DESIGN.md "Telemetry").
 ./build/bench/bench_observability --iters 60 \
     --out build/BENCH_observability_smoke.json
 
@@ -74,7 +72,7 @@ scripts/check_docs.sh --validate-telemetry \
 
 echo "== batch probe: batched cases speed up and stay byte-identical =="
 # Exits nonzero unless cases/sec at --batch 16 is >= 1.5x --batch 1 and
-# merged results, report trees and regressions.tsv are byte-identical
+# canonical result renderings and report trees are byte-identical
 # batched-vs-unbatched across {thread, process} x shards {1, 2, 4}.
 ./build/bench/bench_batch --iters 60 --out build/BENCH_batch_smoke.json
 

@@ -1,5 +1,10 @@
 #include "fuzz/campaign.h"
 
+#include <algorithm>
+#include <sstream>
+
+#include "backends/defects.h"
+#include "fuzz/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reduce/reducer.h"
@@ -9,6 +14,26 @@
 namespace nnsmith::fuzz {
 
 using coverage::CoverageRegistry;
+
+namespace {
+
+/** The sorted canonical site keys of @p map, one per line. */
+std::string
+renderSites(const coverage::CoverageMap& map)
+{
+    const std::vector<coverage::BranchId> ids(map.branches().begin(),
+                                              map.branches().end());
+    std::vector<std::string> keys;
+    for (auto& site : CoverageRegistry::instance().describeSites(ids))
+        keys.push_back(std::move(site.key));
+    std::sort(keys.begin(), keys.end());
+    std::string out;
+    for (const auto& key : keys)
+        out += key + "\n";
+    return out;
+}
+
+} // namespace
 
 CampaignResult
 runCampaign(Fuzzer& fuzzer,
@@ -109,6 +134,36 @@ runCampaign(Fuzzer& fuzzer,
     if (!config.reportDir.empty())
         reduce::writeReproReports(result.bugs, config.reportDir);
     return result;
+}
+
+std::string
+renderCampaignResult(const CampaignResult& result)
+{
+    // encodeBug re-runs the ONNX export for graph repros: keep its
+    // coverage hits and defect triggers out of global state.
+    coverage::CoverageCollector scratch;
+    backends::DefectRegistry::TraceScope trace_scope;
+    std::ostringstream out;
+    out.precision(17);
+    out << "fuzzer " << result.fuzzer << "\niterations " << result.iterations
+        << "\nproduced " << result.produced << "\nvirtual "
+        << result.virtualTime << "\nactive " << result.activeTime
+        << "\n[series]\n";
+    for (const auto& point : result.series)
+        out << point.minutes << ' ' << point.iterations << ' '
+            << point.coverageAll << ' ' << point.coveragePass << '\n';
+    out << "[coverAll]\n" << renderSites(result.coverAll);
+    out << "[coverPass]\n" << renderSites(result.coverPass);
+    for (const auto& [key, bug] : result.bugs)
+        out << "[bug " << key << "]\n" << wire::encodeBug(bug) << '\n';
+    out << "[instances]\n";
+    for (const auto& key : result.instanceKeys)
+        out << key << '\n';
+    out << "[defects]\n";
+    for (const auto& id : result.defectsFound)
+        out << id << '\n';
+    out << "[regressions]\n" << corpus::renderRegressions(result.regressions);
+    return out.str();
 }
 
 } // namespace nnsmith::fuzz

@@ -121,7 +121,7 @@ struct CampaignResult {
     /**
      * Worker-fabric telemetry from sharded runs (empty for the serial
      * driver and thread workers that never fault). Deliberately
-     * excluded from result comparisons: two runs that merged the same
+     * left out of renderCampaignResult: two runs that merged the same
      * records are the same campaign even if one needed respawns.
      */
     std::vector<WorkerFault> workerFaults;
@@ -133,6 +133,23 @@ struct CampaignResult {
 CampaignResult runCampaign(Fuzzer& fuzzer,
                            const std::vector<backends::Backend*>& backends,
                            const CampaignConfig& config);
+
+/**
+ * Everything a campaign concludes, as one canonical string: the
+ * fuzzer name and counters, every series point, both coverage sets as
+ * sorted site keys, every bug as its full wire document
+ * (wire::encodeBug, in dedup-key order), instance keys, defects found
+ * and the corpus replay verdicts. Worker faults and respawns are
+ * telemetry and are left out.
+ *
+ * This is the repo's one definition of campaign identity: two results
+ * are the same campaign iff their renderings are equal strings, for
+ * any shard count, worker mode, batch sweep or telemetry setting.
+ * Rendering graph repros re-runs the ONNX export under a scratch
+ * CoverageCollector, so it must not be called while a collector is
+ * active on the calling thread.
+ */
+std::string renderCampaignResult(const CampaignResult& result);
 
 } // namespace nnsmith::fuzz
 

@@ -53,37 +53,6 @@ fabricConfig(int shards, WorkerMode mode, uint64_t master_seed)
     return config;
 }
 
-std::set<std::string>
-bugKeys(const CampaignResult& result)
-{
-    std::set<std::string> keys;
-    for (const auto& [key, bug] : result.bugs)
-        keys.insert(key);
-    return keys;
-}
-
-void
-expectIdentical(const CampaignResult& a, const CampaignResult& b)
-{
-    EXPECT_EQ(a.fuzzer, b.fuzzer);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.produced, b.produced);
-    EXPECT_EQ(a.virtualTime, b.virtualTime);
-    EXPECT_EQ(a.activeTime, b.activeTime);
-    EXPECT_EQ(a.coverAll.branches(), b.coverAll.branches());
-    EXPECT_EQ(a.coverPass.branches(), b.coverPass.branches());
-    EXPECT_EQ(bugKeys(a), bugKeys(b));
-    EXPECT_EQ(a.instanceKeys, b.instanceKeys);
-    EXPECT_EQ(a.defectsFound, b.defectsFound);
-    ASSERT_EQ(a.series.size(), b.series.size());
-    for (size_t i = 0; i < a.series.size(); ++i) {
-        EXPECT_EQ(a.series[i].minutes, b.series[i].minutes);
-        EXPECT_EQ(a.series[i].iterations, b.series[i].iterations);
-        EXPECT_EQ(a.series[i].coverageAll, b.series[i].coverageAll);
-        EXPECT_EQ(a.series[i].coveragePass, b.series[i].coveragePass);
-    }
-}
-
 void
 expectRecordsEqual(const std::vector<ShardResult::IterationRecord>& a,
                    const std::vector<ShardResult::IterationRecord>& b)
@@ -265,7 +234,8 @@ TEST(Fabric, ProcessWorkersMatchThreadWorkers)
     for (const int shards : {1, 2, 4}) {
         const auto process = fuzz::runParallelCampaign(
             fabricConfig(shards, WorkerMode::kProcess, 2023));
-        expectIdentical(thread_serial, process);
+        EXPECT_EQ(fuzz::renderCampaignResult(thread_serial),
+                  fuzz::renderCampaignResult(process));
     }
 }
 
@@ -300,7 +270,8 @@ TEST(Fabric, ProcessCorpusReplayMatchesThread)
     }
     ASSERT_FALSE(tsvs[0].empty());
     EXPECT_EQ(tsvs[0], tsvs[1]);
-    expectIdentical(results[0], results[1]);
+    EXPECT_EQ(fuzz::renderCampaignResult(results[0]),
+              fuzz::renderCampaignResult(results[1]));
     for (const auto& result : results) {
         EXPECT_EQ(corpus::renderRegressions(result.regressions), tsvs[0]);
         EXPECT_GT(result.regressions.total(), 0u);
@@ -360,7 +331,8 @@ TEST_P(FabricCrash, CrashedWorkerIsRespawnedAndMergeIsIdentical)
         crashingFactory(config.masterSeed, 7, marker, GetParam());
     const auto survived = fuzz::runParallelCampaign(config);
     EXPECT_TRUE(std::filesystem::exists(marker)); // the crash fired
-    expectIdentical(reference, survived);
+    EXPECT_EQ(fuzz::renderCampaignResult(reference),
+              fuzz::renderCampaignResult(survived));
     std::filesystem::remove(marker);
 }
 

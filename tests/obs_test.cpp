@@ -214,33 +214,6 @@ obsConfig(int shards, WorkerMode mode)
     return config;
 }
 
-void
-expectIdentical(const CampaignResult& a, const CampaignResult& b)
-{
-    EXPECT_EQ(a.fuzzer, b.fuzzer);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.produced, b.produced);
-    EXPECT_EQ(a.virtualTime, b.virtualTime);
-    EXPECT_EQ(a.activeTime, b.activeTime);
-    EXPECT_EQ(a.coverAll.branches(), b.coverAll.branches());
-    EXPECT_EQ(a.coverPass.branches(), b.coverPass.branches());
-    EXPECT_EQ(a.instanceKeys, b.instanceKeys);
-    EXPECT_EQ(a.defectsFound, b.defectsFound);
-    std::set<std::string> keys_a, keys_b;
-    for (const auto& [key, bug] : a.bugs)
-        keys_a.insert(key);
-    for (const auto& [key, bug] : b.bugs)
-        keys_b.insert(key);
-    EXPECT_EQ(keys_a, keys_b);
-    ASSERT_EQ(a.series.size(), b.series.size());
-    for (size_t i = 0; i < a.series.size(); ++i) {
-        EXPECT_EQ(a.series[i].minutes, b.series[i].minutes);
-        EXPECT_EQ(a.series[i].iterations, b.series[i].iterations);
-        EXPECT_EQ(a.series[i].coverageAll, b.series[i].coverageAll);
-        EXPECT_EQ(a.series[i].coveragePass, b.series[i].coveragePass);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------------
@@ -447,7 +420,8 @@ TEST(ObsInertness, TelemetryOnOffIdentityAcrossModesAndShards)
             config.progress =
                 std::make_shared<ProgressAggregator>(options);
             const auto result = fuzz::runParallelCampaign(config);
-            expectIdentical(reference, result);
+            EXPECT_EQ(fuzz::renderCampaignResult(reference),
+                      fuzz::renderCampaignResult(result));
             // Liveness reached the aggregator on every cell.
             EXPECT_GT(config.progress->heartbeats(), 0u)
                 << "mode=" << fuzz::workerModeName(mode)
@@ -508,7 +482,8 @@ TEST_P(ObsStall, SleepingWorkerIsFlaggedStalledAndCampaignCompletes)
 
     // The sleeper was flagged stalled — distinctly from a crash — and
     // the campaign still merged byte-identically.
-    expectIdentical(reference, result);
+    EXPECT_EQ(fuzz::renderCampaignResult(reference),
+              fuzz::renderCampaignResult(result));
     EXPECT_GT(config.progress->stallEvents(), 0u);
     EXPECT_EQ(result.respawns, 0u);
     bool saw_stall_fault = false;
@@ -549,7 +524,8 @@ TEST(ObsFaults, CrashRespawnIsCountedInTheResult)
     };
     const auto result = fuzz::runParallelCampaign(config);
     EXPECT_TRUE(std::filesystem::exists(marker));
-    expectIdentical(reference, result);
+    EXPECT_EQ(fuzz::renderCampaignResult(reference),
+              fuzz::renderCampaignResult(result));
     EXPECT_EQ(result.respawns, 1u);
     ASSERT_FALSE(result.workerFaults.empty());
     bool saw_crash = false;
@@ -584,7 +560,8 @@ TEST(ObsFaults, TransientWorkerErrorIsRetriedAndSurfaced)
     // the incident is surfaced as a WorkerFault.
     const auto result = fuzz::runParallelCampaign(config);
     EXPECT_TRUE(std::filesystem::exists(marker));
-    expectIdentical(reference, result);
+    EXPECT_EQ(fuzz::renderCampaignResult(reference),
+              fuzz::renderCampaignResult(result));
     bool saw_error = false;
     for (const auto& fault : result.workerFaults) {
         if (fault.kind == "error") {

@@ -3,8 +3,10 @@
  *  shard-invariant regression-corpus replay. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "backends/backend.h"
 #include "corpus/replay.h"
@@ -44,51 +46,22 @@ testConfig(int shards, uint64_t master_seed)
     return config;
 }
 
-std::set<std::string>
-bugKeys(const CampaignResult& result)
-{
-    std::set<std::string> keys;
-    for (const auto& [key, bug] : result.bugs)
-        keys.insert(key);
-    return keys;
-}
-
-void
-expectIdentical(const CampaignResult& a, const CampaignResult& b)
-{
-    EXPECT_EQ(a.fuzzer, b.fuzzer);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.produced, b.produced);
-    EXPECT_EQ(a.virtualTime, b.virtualTime);
-    EXPECT_EQ(a.activeTime, b.activeTime);
-    EXPECT_EQ(a.coverAll.branches(), b.coverAll.branches());
-    EXPECT_EQ(a.coverPass.branches(), b.coverPass.branches());
-    EXPECT_EQ(bugKeys(a), bugKeys(b));
-    EXPECT_EQ(a.instanceKeys, b.instanceKeys);
-    EXPECT_EQ(a.defectsFound, b.defectsFound);
-    ASSERT_EQ(a.series.size(), b.series.size());
-    for (size_t i = 0; i < a.series.size(); ++i) {
-        EXPECT_EQ(a.series[i].minutes, b.series[i].minutes);
-        EXPECT_EQ(a.series[i].iterations, b.series[i].iterations);
-        EXPECT_EQ(a.series[i].coverageAll, b.series[i].coverageAll);
-        EXPECT_EQ(a.series[i].coveragePass, b.series[i].coveragePass);
-    }
-}
-
 TEST(ParallelCampaign, ShardCountDoesNotChangeMergedResult)
 {
     const auto serial = fuzz::runParallelCampaign(testConfig(1, 2023));
     const auto sharded = fuzz::runParallelCampaign(testConfig(4, 2023));
     EXPECT_GT(serial.iterations, 0u);
     EXPECT_GT(serial.coverAll.count(), 0u);
-    expectIdentical(serial, sharded);
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(sharded));
 }
 
 TEST(ParallelCampaign, RepeatedShardedRunsAreDeterministic)
 {
     const auto first = fuzz::runParallelCampaign(testConfig(4, 77));
     const auto second = fuzz::runParallelCampaign(testConfig(4, 77));
-    expectIdentical(first, second);
+    EXPECT_EQ(fuzz::renderCampaignResult(first),
+              fuzz::renderCampaignResult(second));
 }
 
 TEST(ParallelCampaign, BlockSizeDoesNotChangeMergedResult)
@@ -97,8 +70,9 @@ TEST(ParallelCampaign, BlockSizeDoesNotChangeMergedResult)
     small_blocks.blockIterations = 2;
     auto large_blocks = testConfig(3, 5);
     large_blocks.blockIterations = 64;
-    expectIdentical(fuzz::runParallelCampaign(small_blocks),
-                    fuzz::runParallelCampaign(large_blocks));
+    EXPECT_EQ(
+        fuzz::renderCampaignResult(fuzz::runParallelCampaign(small_blocks)),
+        fuzz::renderCampaignResult(fuzz::runParallelCampaign(large_blocks)));
 }
 
 TEST(ParallelCampaign, DifferentSeedsDiverge)
@@ -106,6 +80,60 @@ TEST(ParallelCampaign, DifferentSeedsDiverge)
     const auto a = fuzz::runParallelCampaign(testConfig(2, 1));
     const auto b = fuzz::runParallelCampaign(testConfig(2, 2));
     EXPECT_NE(a.instanceKeys, b.instanceKeys);
+}
+
+TEST(ParallelCampaign, RenderingCoversEveryConclusionButNotTelemetry)
+{
+    // renderCampaignResult is the repo's one definition of campaign
+    // identity: any single changed conclusion must change it, and the
+    // fabric's telemetry (faults, respawns) must not.
+    CampaignResult base = fuzz::runParallelCampaign(testConfig(1, 2023));
+    const auto graph_bug =
+        std::find_if(base.bugs.begin(), base.bugs.end(), [](const auto& e) {
+            return e.second.graphRepro != nullptr &&
+                   !e.second.graphRepro->leaves.empty();
+        });
+    ASSERT_NE(graph_bug, base.bugs.end());
+    ASSERT_FALSE(base.series.empty());
+    const std::string bug_key = graph_bug->first;
+    corpus::ReplayOutcome outcome;
+    outcome.fingerprint = bug_key;
+    outcome.file = "0000.repro.txt";
+    outcome.kind = graph_bug->second.kind;
+    outcome.status = corpus::ReplayStatus::kStillFires;
+    base.regressions.outcomes.push_back(outcome);
+    base.regressions.stillFires = 1;
+    const std::string rendered = fuzz::renderCampaignResult(base);
+
+    auto changes = [&](const std::function<void(CampaignResult&)>& edit) {
+        CampaignResult copy = base;
+        edit(copy);
+        return fuzz::renderCampaignResult(copy) != rendered;
+    };
+    EXPECT_TRUE(changes([&](CampaignResult& r) {
+        // One element of one leaf tensor: the dedup key is unchanged.
+        auto& bug = r.bugs.at(bug_key);
+        auto repro = std::make_shared<fuzz::GraphRepro>(*bug.graphRepro);
+        auto& leaf = repro->leaves.begin()->second;
+        leaf.setScalar(0, leaf.scalarAt(0) == 0.0 ? 1.0 : 0.0);
+        bug.graphRepro = repro;
+    }));
+    EXPECT_TRUE(changes(
+        [&](CampaignResult& r) { r.bugs.at(bug_key).detail += "!"; }));
+    EXPECT_TRUE(changes(
+        [](CampaignResult& r) { r.series.back().coverageAll += 1; }));
+    EXPECT_TRUE(changes([](CampaignResult& r) {
+        r.coverAll.add(coverage::CoverageRegistry::instance().registerSite(
+            "rendertest", __FILE__, __LINE__, 0, /*pass_only=*/false));
+    }));
+    EXPECT_TRUE(changes([](CampaignResult& r) {
+        r.regressions.outcomes[0].status = corpus::ReplayStatus::kFixed;
+    }));
+    EXPECT_FALSE(changes([](CampaignResult& r) {
+        r.workerFaults.push_back(
+            fuzz::WorkerFault{1, 0, 8, "crash", "", /*attempt=*/0});
+        r.respawns = 3;
+    }));
 }
 
 TEST(ParallelCampaign, MergeIsOrderIndependent)
@@ -151,11 +179,12 @@ TEST(ParallelCampaign, MergeIsOrderIndependent)
     const auto forward = mergeShardResults(shards, config, "synthetic");
     std::vector<ShardResult> reversed = {shards[2], shards[0], shards[1]};
     const auto shuffled = mergeShardResults(reversed, config, "synthetic");
-    expectIdentical(forward, shuffled);
+    EXPECT_EQ(fuzz::renderCampaignResult(forward),
+              fuzz::renderCampaignResult(shuffled));
     EXPECT_EQ(forward.iterations, 9u);
     EXPECT_EQ(forward.coverAll.count(), 6u);
     EXPECT_EQ(forward.coverPass.count(), 3u);
-    EXPECT_EQ(bugKeys(forward).size(), 4u);
+    EXPECT_EQ(forward.bugs.size(), 4u);
     EXPECT_EQ(forward.instanceKeys.size(), 5u);
 }
 
@@ -220,7 +249,8 @@ TEST(ParallelCampaign, PassSequenceFuzzerIsShardInvariant)
     const auto sharded = fuzz::runParallelCampaign(make(4));
     EXPECT_GT(serial.coverPass.count(), 0u);
     EXPECT_FALSE(serial.instanceKeys.empty()); // tirseq/... keys
-    expectIdentical(serial, sharded);
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(sharded));
 }
 
 TEST(ParallelCampaign, PassFuzzedTvmLiteIsShardInvariant)
@@ -243,7 +273,8 @@ TEST(ParallelCampaign, PassFuzzedTvmLiteIsShardInvariant)
     const auto serial = fuzz::runParallelCampaign(make(1));
     const auto sharded = fuzz::runParallelCampaign(make(3));
     EXPECT_GT(serial.coverAll.count(), 0u);
-    expectIdentical(serial, sharded);
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(sharded));
 }
 
 /** PassSequenceFuzzer in graph mode: the backend under test is its
@@ -285,8 +316,10 @@ TEST(ParallelCampaign, OrtLitePassFuzzIsShardInvariant)
         graphPassFuzzConfig("OrtLite", "ortlite", 4, 2023));
     EXPECT_GT(serial.coverPass.count(), 0u); // ortlite/pass/seq bins
     EXPECT_FALSE(serial.instanceKeys.empty()); // passseq/OrtLite/...
-    expectIdentical(serial, two);
-    expectIdentical(serial, four);
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(two));
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(four));
 }
 
 TEST(ParallelCampaign, TrtLitePassFuzzIsShardInvariant)
@@ -299,8 +332,10 @@ TEST(ParallelCampaign, TrtLitePassFuzzIsShardInvariant)
         graphPassFuzzConfig("TrtLite", "trtlite", 4, 2023));
     EXPECT_GT(serial.coverPass.count(), 0u); // trtlite/pass/seq bins
     EXPECT_FALSE(serial.instanceKeys.empty());
-    expectIdentical(serial, two);
-    expectIdentical(serial, four);
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(two));
+    EXPECT_EQ(fuzz::renderCampaignResult(serial),
+              fuzz::renderCampaignResult(four));
 }
 
 TEST(ParallelCampaign, GraphPassFuzzCorpusReplayIsShardInvariant)
@@ -343,8 +378,10 @@ TEST(ParallelCampaign, GraphPassFuzzCorpusReplayIsShardInvariant)
         EXPECT_EQ(result.regressions.stillFires,
                   result.regressions.total());
     }
-    expectIdentical(results[0], results[1]);
-    expectIdentical(results[0], results[2]);
+    EXPECT_EQ(fuzz::renderCampaignResult(results[0]),
+              fuzz::renderCampaignResult(results[1]));
+    EXPECT_EQ(fuzz::renderCampaignResult(results[0]),
+              fuzz::renderCampaignResult(results[2]));
     std::filesystem::remove_all(dir);
 }
 
@@ -389,8 +426,10 @@ TEST(ParallelCampaign, CorpusReplayIsShardInvariant)
         EXPECT_EQ(result.regressions.stillFires,
                   result.regressions.total());
     }
-    expectIdentical(results[0], results[1]);
-    expectIdentical(results[0], results[2]);
+    EXPECT_EQ(fuzz::renderCampaignResult(results[0]),
+              fuzz::renderCampaignResult(results[1]));
+    EXPECT_EQ(fuzz::renderCampaignResult(results[0]),
+              fuzz::renderCampaignResult(results[2]));
     std::filesystem::remove_all(dir);
 }
 
@@ -434,7 +473,8 @@ TEST(ParallelCampaign, CorpusGuidedIsShardAndWorkerModeInvariant)
     }
     ASSERT_FALSE(tsvs[0].empty());
     for (size_t i = 1; i < results.size(); ++i) {
-        expectIdentical(results[0], results[i]);
+        EXPECT_EQ(fuzz::renderCampaignResult(results[0]),
+                  fuzz::renderCampaignResult(results[i]));
         EXPECT_EQ(tsvs[0], tsvs[i]);
     }
     EXPECT_EQ(results[0].fuzzer, "NNSmith+corpus");

@@ -290,32 +290,15 @@ minimizingCampaign(int shards, uint64_t master_seed)
     return config;
 }
 
-void
-expectSameBugs(const CampaignResult& a, const CampaignResult& b)
-{
-    ASSERT_EQ(a.bugs.size(), b.bugs.size());
-    auto ai = a.bugs.begin();
-    auto bi = b.bugs.begin();
-    for (; ai != a.bugs.end(); ++ai, ++bi) {
-        EXPECT_EQ(ai->first, bi->first);
-        EXPECT_EQ(ai->second.minimized, bi->second.minimized);
-        EXPECT_EQ(ai->second.originalSize, bi->second.originalSize);
-        EXPECT_EQ(ai->second.minimizedSize, bi->second.minimizedSize);
-    }
-}
-
 TEST(MinimizingCampaign, ShardCountInvariantWithMinimizeOn)
 {
     const auto one = fuzz::runParallelCampaign(minimizingCampaign(1, 41));
     const auto two = fuzz::runParallelCampaign(minimizingCampaign(2, 41));
     const auto four = fuzz::runParallelCampaign(minimizingCampaign(4, 41));
     EXPECT_GT(one.iterations, 0u);
-    expectSameBugs(one, two);
-    expectSameBugs(one, four);
-    EXPECT_EQ(one.coverAll.branches(), two.coverAll.branches());
-    EXPECT_EQ(one.coverAll.branches(), four.coverAll.branches());
-    EXPECT_EQ(one.instanceKeys, two.instanceKeys);
-    EXPECT_EQ(one.instanceKeys, four.instanceKeys);
+    const std::string rendered = fuzz::renderCampaignResult(one);
+    EXPECT_EQ(rendered, fuzz::renderCampaignResult(two));
+    EXPECT_EQ(rendered, fuzz::renderCampaignResult(four));
 }
 
 TEST(MinimizingCampaign, MinimizeDoesNotChangeCoverageOrIterations)
