@@ -25,6 +25,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -71,7 +72,9 @@ class CoverageCollector {
 
   private:
     friend class CoverageRegistry;
-    std::set<BranchId> hits_;
+    void mark(BranchId id);
+    /** One bit per BranchId; take() scans and zeroes it. */
+    std::vector<uint64_t> bits_;
 };
 
 /**
@@ -86,8 +89,33 @@ class CoverageCollector {
  * registry, which is what makes campaign results process-portable.
  */
 struct SiteInfo {
-    std::string key;      ///< canonical site key
+    std::string key;       ///< canonical site key
     bool passOnly = false;
+    std::string component; ///< the component the site belongs to
+};
+
+/**
+ * Range elements ("component|range#i") at an index at or above this
+ * are ordinary sites outside their block's index table. It bounds the
+ * table a hostile wire key can make a process allocate, and so the
+ * length of any range run.
+ */
+constexpr size_t kRangeIndexLimit = size_t{1} << 20;
+
+/** Joins a component to a range element index: "component|range#i". */
+constexpr std::string_view kRangeTag = "|range#";
+
+/**
+ * A group of sites as the wire format (fuzz/wire.h) carries it: one
+ * site by its key, or the elements [first, last] of the hitRange
+ * block of component @c key.
+ */
+struct SiteRun {
+    std::string key;  ///< site key; for a range run, the block's component
+    bool passOnly = false;
+    bool range = false; ///< elements [first, last] of a hitRange block
+    size_t first = 0;
+    size_t last = 0;
 };
 
 /** Process-global branch registry. */
@@ -135,16 +163,6 @@ class CoverageRegistry {
         const std::string& component_prefix = "") const;
 
     /**
-     * Project a list of hit ids onto a CoverageMap, keeping ids whose
-     * component starts with @p component_prefix (and, when
-     * @p pass_only, only pass-tagged sites). Used by shard merging to
-     * rebuild component-filtered maps from per-iteration deltas.
-     */
-    CoverageMap filterIds(const std::vector<BranchId>& ids,
-                          const std::string& component_prefix,
-                          bool pass_only) const;
-
-    /**
      * Canonical identities of @p ids, in the same order. Used by the
      * campaign wire format (fuzz/wire.h) to serialize coverage hits in
      * a process-portable form. Asserts on unknown ids.
@@ -161,6 +179,25 @@ class CoverageRegistry {
      * interned id instead of minting a new one.
      */
     BranchId internSiteKey(const std::string& key, bool pass_only);
+
+    /**
+     * Group @p ids (any order, duplicates ignored) for the wire: each
+     * maximal run of consecutive elements of one hitRange block that
+     * share a pass tag becomes one range run (a lone element is a run
+     * with first == last); every other site is one keyed entry. The
+     * runs are a pure function of the id set; their order is not
+     * specified.
+     */
+    std::vector<SiteRun> describeRuns(const std::vector<BranchId>& ids)
+        const;
+
+    /**
+     * Inverse of describeRuns, under one lock: the ids of every run in
+     * order, a range run expanded to its elements in index order.
+     * Unknown sites are registered as internSiteKey does. Asserts that
+     * range runs satisfy first <= last < kRangeIndexLimit.
+     */
+    std::vector<BranchId> internRuns(const std::vector<SiteRun>& runs);
 
     /** Clear hit state (registered sites keep their ids). */
     void resetHits();
@@ -179,16 +216,45 @@ class CoverageRegistry {
   private:
     friend class CoverageCollector;
 
+    static constexpr uint32_t kNoBlock = UINT32_MAX;
+    static constexpr BranchId kNoSite = UINT32_MAX;
+
     struct Site {
         std::string component;
         std::string key; ///< canonical key (see SiteInfo)
         bool passOnly;
         bool hit;
+        /** Range block and index of a "component|range#i" element. */
+        uint32_t block = kNoBlock;
+        uint32_t index = 0;
+    };
+
+    /**
+     * The "component|range#i" sites of one component. Every such site
+     * is tagged with its block and index when it is minted, whether
+     * hitRange registered it or internSiteKey/internRuns interned it
+     * from a worker's wire record, so the block and the key lookup
+     * always agree on an element's id.
+     */
+    struct RangeBlock {
+        std::string component;
+        /** index -> id; kNoSite where this process has not minted
+         *  the element yet. */
+        std::vector<BranchId> ids;
+        /** Element count hitRange registered; 0 until it does. */
+        size_t registered = 0;
     };
 
     /** registerSite/hitDynamic/internSiteKey core; mu_ must be held. */
     BranchId findOrAddLocked(const std::string& key,
                              const std::string& component, bool pass_only);
+
+    /** The block of @p component, created empty if new; mu_ held. */
+    uint32_t blockLocked(const std::string& component);
+
+    /** Element @p index of @p block, minted if new; mu_ held. */
+    BranchId rangeElementLocked(uint32_t block, size_t index,
+                                bool pass_only);
 
     /** The collector active on the calling thread, or nullptr. */
     static thread_local CoverageCollector* activeCollector_;
@@ -197,10 +263,8 @@ class CoverageRegistry {
     std::vector<Site> sites_;
     std::unordered_map<std::string, BranchId> byKey_;
     std::unordered_map<std::string, size_t> declaredTotals_;
-    /** Element ids per registered hitRange block. Ids need not be
-     *  contiguous: internSiteKey may have minted some elements before
-     *  the block was registered in this process. */
-    std::unordered_map<std::string, std::vector<BranchId>> ranges_;
+    std::vector<RangeBlock> blocks_;
+    std::unordered_map<std::string, uint32_t> blockByComponent_;
 };
 
 } // namespace nnsmith::coverage

@@ -59,10 +59,10 @@ mergeShardResults(const std::vector<ShardResult>& shards,
     // and iteration-cap checks, same converged-plateau fast-forward —
     // but coverage counts come from the per-iteration hit deltas
     // instead of the global registry bits. Records arrive in wire
-    // format regardless of the worker runtime: hit site keys are
-    // interned into *this* process's registry and bug documents parsed
-    // back through the corpus machinery, so thread and process shards
-    // merge identically.
+    // format regardless of the worker runtime: hit site keys and
+    // range runs are interned into *this* process's registry and bug
+    // documents parsed back through the corpus machinery, so thread
+    // and process shards merge identically.
     auto take_sample = [&]() {
         CampaignPoint point;
         point.minutes = clock.minutes();
@@ -74,6 +74,8 @@ mergeShardResults(const std::vector<ShardResult>& shards,
     take_sample();
     next_sample = config.sampleEveryMinutes;
 
+    std::vector<uint8_t> seen; ///< by BranchId: hit by an earlier record
+    std::vector<coverage::BranchId> fresh;
     for (size_t index = 0; index < end; ++index) {
         if (clock.now() >= config.virtualBudget ||
             result.iterations >= config.maxIterations)
@@ -92,11 +94,25 @@ mergeShardResults(const std::vector<ShardResult>& shards,
         }
         for (const auto& key : record->instanceKeys)
             result.instanceKeys.insert(key);
-        const auto ids = wire::hitsFromWire(record->hits);
-        result.coverAll = result.coverAll.unionWith(
-            registry.filterIds(ids, config.coverageComponent, false));
-        result.coverPass = result.coverPass.unionWith(
-            registry.filterIds(ids, config.coverageComponent, true));
+        // Only a site's first sighting can change the coverage maps,
+        // so each site is classified (component, pass tag) once.
+        fresh.clear();
+        for (const auto id : wire::hitsFromWire(record->hits)) {
+            if (id >= seen.size())
+                seen.resize(id + 1, 0);
+            if (seen[id] == 0) {
+                seen[id] = 1;
+                fresh.push_back(id);
+            }
+        }
+        const auto infos = registry.describeSites(fresh);
+        for (size_t i = 0; i < fresh.size(); ++i) {
+            if (infos[i].component.rfind(config.coverageComponent, 0) != 0)
+                continue;
+            result.coverAll.add(fresh[i]);
+            if (infos[i].passOnly)
+                result.coverPass.add(fresh[i]);
+        }
         while (clock.minutes() >= next_sample) {
             take_sample();
             result.series.back().minutes = next_sample;

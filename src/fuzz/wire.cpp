@@ -167,6 +167,49 @@ decodeBareBug(const std::string& text)
     return bug;
 }
 
+/**
+ * One bound of a run key: plain decimal (no sign, no leading zero), so
+ * every run has exactly one spelling.
+ */
+uint64_t
+parseRunBound(const std::string& key, size_t begin, size_t end)
+{
+    const std::string token = key.substr(begin, end - begin);
+    if (token.size() > 1 && token[0] == '0')
+        fail("malformed range run bound in '" + key + "'");
+    return parseCount(token, "range run bound");
+}
+
+/**
+ * A wire hit as registry terms: "component|range#a..b" (a < b) is the
+ * run of elements a..b of component's hitRange block, anything else
+ * one site key. Throws ParseError on a key with no component prefix
+ * and on a run key that is not canonical.
+ */
+coverage::SiteRun
+parseHit(const SiteHit& hit)
+{
+    const auto bar = hit.key.find('|');
+    if (bar == std::string::npos || bar == 0)
+        fail("site key '" + hit.key + "' has no component prefix");
+    using coverage::kRangeTag;
+    const size_t start = bar + kRangeTag.size();
+    const auto dots = hit.key.find("..", start);
+    if (hit.key.compare(bar, kRangeTag.size(), kRangeTag) != 0 ||
+        dots == std::string::npos)
+        return coverage::SiteRun{hit.key, hit.passOnly};
+    const uint64_t first = parseRunBound(hit.key, start, dots);
+    const uint64_t last = parseRunBound(hit.key, dots + 2, hit.key.size());
+    if (first >= last)
+        fail("range run '" + hit.key + "' is not ascending");
+    if (last >= coverage::kRangeIndexLimit)
+        fail("range run '" + hit.key + "' ends past element " +
+             std::to_string(coverage::kRangeIndexLimit - 1));
+    return coverage::SiteRun{hit.key.substr(0, bar), hit.passOnly, true,
+                             static_cast<size_t>(first),
+                             static_cast<size_t>(last)};
+}
+
 } // namespace
 
 std::string
@@ -194,12 +237,18 @@ decodeBug(const std::string& text)
 std::vector<SiteHit>
 hitsToWire(const std::vector<coverage::BranchId>& ids)
 {
-    const auto infos =
-        coverage::CoverageRegistry::instance().describeSites(ids);
+    auto runs = coverage::CoverageRegistry::instance().describeRuns(ids);
     std::vector<SiteHit> hits;
-    hits.reserve(infos.size());
-    for (const auto& info : infos)
-        hits.push_back(SiteHit{info.passOnly, info.key});
+    hits.reserve(runs.size());
+    for (auto& run : runs) {
+        if (run.range) {
+            run.key += coverage::kRangeTag;
+            run.key += std::to_string(run.first);
+            if (run.last > run.first)
+                run.key += ".." + std::to_string(run.last);
+        }
+        hits.push_back(SiteHit{run.passOnly, std::move(run.key)});
+    }
     // Site keys are the only process-independent order; BranchId
     // order is first-discovery order and scheduling-dependent.
     std::sort(hits.begin(), hits.end(),
@@ -212,16 +261,22 @@ hitsToWire(const std::vector<coverage::BranchId>& ids)
 std::vector<coverage::BranchId>
 hitsFromWire(const std::vector<SiteHit>& hits)
 {
-    auto& registry = coverage::CoverageRegistry::instance();
-    std::vector<coverage::BranchId> ids;
-    ids.reserve(hits.size());
+    std::vector<coverage::SiteRun> runs;
+    runs.reserve(hits.size());
+    for (const auto& hit : hits)
+        runs.push_back(parseHit(hit));
+    return coverage::CoverageRegistry::instance().internRuns(runs);
+}
+
+size_t
+siteCount(const std::vector<SiteHit>& hits)
+{
+    size_t count = 0;
     for (const auto& hit : hits) {
-        const auto bar = hit.key.find('|');
-        if (bar == std::string::npos || bar == 0)
-            fail("site key '" + hit.key + "' has no component prefix");
-        ids.push_back(registry.internSiteKey(hit.key, hit.passOnly));
+        const auto run = parseHit(hit);
+        count += run.range ? run.last - run.first + 1 : 1;
     }
-    return ids;
+    return count;
 }
 
 std::string

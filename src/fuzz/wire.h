@@ -8,8 +8,14 @@
  *  - **Coverage hits** travel as canonical *site keys*
  *    (coverage::SiteInfo) instead of process-local BranchId values;
  *    the consumer re-interns each key into its own registry
- *    (CoverageRegistry::internSiteKey). Hits are sorted by key, the
- *    only process-independent order.
+ *    (CoverageRegistry::internRuns). Elements of a hitRange block
+ *    ("component|range#i") travel as runs: each maximal run of
+ *    consecutive elements a < b of one block that share a pass tag is
+ *    one key "component|range#a..b"; a lone element keeps its own
+ *    key. Hits are sorted by key, the only process-independent order,
+ *    so the encoding is a pure function of the covered site set. A run
+ *    key that is not canonical (bounds with a sign or leading zero,
+ *    a >= b, or b >= coverage::kRangeIndexLimit) is malformed.
  *  - **Bugs** travel as rendered repro documents: the existing corpus
  *    schema (corpus::renderRepro / corpus::parseRepro) — already the
  *    byte-exact on-disk format for minimized repros — doubles as the
@@ -59,18 +65,26 @@ std::string encodeBug(const BugRecord& bug);
 BugRecord decodeBug(const std::string& text);
 
 /**
- * Canonical wire form of a collector's hit delta: site keys + pass
- * tags for @p ids (this process's registry), sorted by key.
+ * Canonical wire form of a collector's hit delta: site keys and range
+ * runs + pass tags for the set @p ids (this process's registry; any
+ * order), sorted by key.
  */
 std::vector<SiteHit> hitsToWire(const std::vector<coverage::BranchId>& ids);
 
 /**
  * Re-intern wire hits into this process's registry, returning local
- * BranchIds (in the same order). Unknown sites are registered with
- * the key's component and the carried pass tag. Throws
- * corpus::ParseError on a key with no component prefix.
+ * BranchIds in hit order, a run expanded to its elements in index
+ * order. Unknown sites are registered with the key's component and
+ * the carried pass tag. Throws corpus::ParseError on a key with no
+ * component prefix or a malformed run key.
  */
 std::vector<coverage::BranchId> hitsFromWire(const std::vector<SiteHit>& hits);
+
+/**
+ * Number of sites @p hits cover, a run counting its elements. Throws
+ * corpus::ParseError as hitsFromWire does.
+ */
+size_t siteCount(const std::vector<SiteHit>& hits);
 
 /** Serialize a block of iteration records (one worker round). */
 std::string encodeRecords(
@@ -98,7 +112,7 @@ struct TelemetryFrame {
     uint64_t round = 0; ///< round index just finished
     uint64_t iters = 0; ///< cumulative iterations in this worker
     uint64_t bugs = 0;  ///< cumulative flagged bug records
-    uint64_t hits = 0;  ///< cumulative coverage hits (pre-dedup)
+    uint64_t hits = 0;  ///< cumulative covered sites (pre-dedup)
     obs::MetricsSnapshot metrics; ///< this round's metrics delta
 };
 

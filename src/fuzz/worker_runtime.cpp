@@ -179,7 +179,7 @@ class ThreadRuntime final : public WorkerRuntime {
                         const auto& record = mine.records.back();
                         ++hb_iters;
                         hb_bugs += record.bugs.size();
-                        hb_hits += record.hits.size();
+                        hb_hits += wire::siteCount(record.hits);
                     }
                     if (progress != nullptr) {
                         // Heartbeat outside the barrier lock: the
@@ -435,7 +435,7 @@ workerChildLoop(const ParallelCampaignConfig& config, int shard,
                     config, index, backend_list, *collector));
                 ++cum_iters;
                 cum_bugs += records.back().bugs.size();
-                cum_hits += records.back().hits.size();
+                cum_hits += wire::siteCount(records.back().hits);
             }
             if (config.telemetry) {
                 // Heartbeat + this round's metrics delta ride ahead of

@@ -1,6 +1,8 @@
 /** Tests for the branch-coverage substrate. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "coverage/coverage.h"
 
 namespace nnsmith::coverage {
@@ -79,6 +81,36 @@ TEST(CoverageRegistry, ResetClearsHitsNotSites)
     reg.resetHits();
     EXPECT_EQ(reg.sitesRegistered("test/reset"), sites);
     EXPECT_EQ(reg.snapshot("test/reset").count(), 0u);
+}
+
+TEST(CoverageCollector, TakeReturnsSortedIdsAndEmpties)
+{
+    auto& reg = CoverageRegistry::instance();
+    std::vector<BranchId> ids;
+    for (int i = 0; i < 200; ++i)
+        ids.push_back(reg.internSiteKey(
+            "test/collector|dyn|" + std::to_string(i), false));
+    reg.resetHits();
+    {
+        CoverageCollector collector;
+        // Hit out of order, some twice, spanning several bitmap words.
+        for (size_t i = ids.size(); i-- > 0;)
+            reg.hit(ids[(i * 7) % ids.size()]);
+        reg.hit(ids[3]);
+        reg.hitRange("test/collector/block", 70, 0.5, false);
+        const auto taken = collector.take();
+        EXPECT_TRUE(std::is_sorted(taken.begin(), taken.end()));
+        EXPECT_EQ(std::adjacent_find(taken.begin(), taken.end()),
+                  taken.end());
+        EXPECT_EQ(taken.size(), ids.size() + 35);
+        for (const auto id : ids)
+            EXPECT_TRUE(std::binary_search(taken.begin(), taken.end(), id));
+        EXPECT_TRUE(collector.take().empty());
+        reg.hit(ids[5]);
+        EXPECT_EQ(collector.take(), std::vector<BranchId>{ids[5]});
+    }
+    // Collected hits never reached the global hit bits.
+    EXPECT_EQ(reg.snapshot("test/collector").count(), 0u);
 }
 
 TEST(CoverageRegistry, DeclaredTotals)

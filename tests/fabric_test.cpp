@@ -17,6 +17,7 @@
 #include "fuzz/parallel_campaign.h"
 #include "fuzz/wire.h"
 #include "fuzz/worker_runtime.h"
+#include "obs/progress.h"
 
 namespace nnsmith {
 namespace {
@@ -96,19 +97,90 @@ TEST(Fabric, SiteKeysInternToStableIds)
 
 TEST(Fabric, RangeSitesCohereWithInternedKeys)
 {
-    // A coordinator may intern "component|range#i" keys from a worker
-    // before this process ever calls hitRange for that component; the
-    // later hitRange must reuse the interned ids instead of minting a
-    // parallel block.
+    // A coordinator may intern "component|range#i" keys and
+    // "component|range#a..b" runs from a worker before this process
+    // ever calls hitRange for that component; the later hitRange must
+    // reuse the interned ids instead of minting a parallel block.
     auto& registry = coverage::CoverageRegistry::instance();
     const auto interned =
         registry.internSiteKey("fabricrange|range#2", false);
+    const auto run = wire::hitsFromWire(
+        {SiteHit{false, "fabricrange|range#4..5"}});
+    ASSERT_EQ(run.size(), 2u);
+    EXPECT_NE(run[0], run[1]);
     coverage::CoverageCollector collector;
-    registry.hitRange("fabricrange", 4, 1.0, false);
+    registry.hitRange("fabricrange", 6, 1.0, false);
     const auto hits = collector.take();
-    EXPECT_EQ(hits.size(), 4u);
-    EXPECT_NE(std::find(hits.begin(), hits.end(), interned), hits.end());
-    EXPECT_EQ(registry.sitesRegistered("fabricrange"), 4u);
+    EXPECT_EQ(hits.size(), 6u);
+    for (const auto id : {interned, run[0], run[1]})
+        EXPECT_NE(std::find(hits.begin(), hits.end(), id), hits.end());
+    EXPECT_EQ(registry.sitesRegistered("fabricrange"), 6u);
+    // The whole block now travels as one run over those same ids.
+    EXPECT_EQ(wire::hitsToWire(hits),
+              (std::vector<SiteHit>{{false, "fabricrange|range#0..5"}}));
+    const auto back = wire::hitsFromWire(wire::hitsToWire(hits));
+    EXPECT_EQ(std::set<coverage::BranchId>(back.begin(), back.end()),
+              std::set<coverage::BranchId>(hits.begin(), hits.end()));
+}
+
+std::vector<std::string>
+wireKeys(const std::vector<SiteHit>& hits)
+{
+    std::vector<std::string> keys;
+    for (const auto& hit : hits)
+        keys.push_back(std::string(hit.passOnly ? "P " : "- ") + hit.key);
+    return keys;
+}
+
+TEST(Fabric, RangeRunsAreCanonical)
+{
+    auto& registry = coverage::CoverageRegistry::instance();
+    // Elements 3 and 6 are interned pass-tagged before hitRange mints
+    // the rest untagged, so the block mixes pass tags.
+    registry.internSiteKey("fabricruns|range#3", true);
+    registry.internSiteKey("fabricruns|range#6", true);
+    const auto lone = registry.internSiteKey("fabricruns|dyn|lone", false);
+    std::vector<coverage::BranchId> block;
+    {
+        coverage::CoverageCollector collector;
+        registry.hitRange("fabricruns", 10, 1.0, false);
+        block = collector.take();
+    }
+    ASSERT_EQ(block.size(), 10u);
+    auto ids = block;
+    ids.push_back(lone);
+
+    const auto hits = wire::hitsToWire(ids);
+    EXPECT_EQ(wireKeys(hits),
+              (std::vector<std::string>{
+                  "- fabricruns|dyn|lone",
+                  "- fabricruns|range#0..2", "P fabricruns|range#3",
+                  "- fabricruns|range#4..5", "P fabricruns|range#6",
+                  "- fabricruns|range#7..9"}));
+    EXPECT_EQ(wire::siteCount(hits), ids.size());
+    const auto back = wire::hitsFromWire(hits);
+    EXPECT_EQ(std::set<coverage::BranchId>(back.begin(), back.end()),
+              std::set<coverage::BranchId>(ids.begin(), ids.end()));
+
+    // A pure function of the site set: id order and duplicates do not
+    // matter.
+    auto shuffled = ids;
+    std::reverse(shuffled.begin(), shuffled.end());
+    std::swap(shuffled[1], shuffled[7]);
+    shuffled.push_back(block[4]);
+    EXPECT_EQ(wire::hitsToWire(shuffled), hits);
+
+    // A gap splits a run; a lone element keeps its legacy key.
+    const auto element = [&](int i) {
+        return registry.internSiteKey(
+            "fabricruns|range#" + std::to_string(i), false);
+    };
+    EXPECT_EQ(wireKeys(wire::hitsToWire(
+                  {element(0), element(1), element(8), element(9)})),
+              (std::vector<std::string>{"- fabricruns|range#0..1",
+                                        "- fabricruns|range#8..9"}));
+    EXPECT_EQ(wireKeys(wire::hitsToWire({element(5)})),
+              (std::vector<std::string>{"- fabricruns|range#5"}));
 }
 
 TEST(Fabric, HitsRoundTripThroughWire)
@@ -219,6 +291,53 @@ TEST(Fabric, MalformedWireInputThrowsParseError)
                  corpus::ParseError); // truncated header-only document
     EXPECT_THROW(wire::hitsFromWire({SiteHit{false, "no-component"}}),
                  corpus::ParseError);
+
+    // Run keys have one spelling, and no key may make the registry
+    // mint more than kRangeIndexLimit elements of one block.
+    static_assert(coverage::kRangeIndexLimit == 1u << 20);
+    for (const std::string run :
+         {"range#5..3", "range#5..5", "range#..7", "range#1..x",
+          "range#1..", "range#01..3", "range#-1..3", "range#1..2..3",
+          "range#0..99999999999999999999",
+          "range#99999999999999999999..100000000000000000000",
+          "range#0..1048576", "range#1048575..1048577"}) {
+        const std::vector<SiteHit> hits = {{false, "fabricbad|" + run}};
+        EXPECT_THROW(wire::hitsFromWire(hits), corpus::ParseError) << run;
+        EXPECT_THROW(wire::siteCount(hits), corpus::ParseError) << run;
+    }
+    EXPECT_EQ(coverage::CoverageRegistry::instance().sitesRegistered(
+                  "fabricbad"),
+              0u);
+    // The longest legal run ends at the last indexable element.
+    EXPECT_EQ(wire::siteCount({{false, "fabricbad|range#1048574..1048575"}}),
+              2u);
+}
+
+TEST(Fabric, HeartbeatsCountCoveredSitesNotWireEntries)
+{
+    // Run keys fold the ortlite/runtime block into one wire entry, so
+    // the --progress hits column must count expanded sites.
+    for (const auto mode : {WorkerMode::kThread, WorkerMode::kProcess}) {
+        auto config = fabricConfig(2, mode, 2023);
+        config.campaign.maxIterations = 8;
+        config.telemetry = true;
+        obs::ProgressOptions options;
+        options.printToStderr = false;
+        options.stallAfterMs = 10 * 60 * 1000;
+        config.progress = std::make_shared<obs::ProgressAggregator>(options);
+        config.progress->attach(config.shards, fuzz::workerModeName(mode));
+        const auto shards = fuzz::makeWorkerRuntime(mode)->runShards(config);
+        uint64_t sites = 0, entries = 0, reported = 0;
+        for (const auto& shard : shards)
+            for (const auto& record : shard.records) {
+                sites += wire::hitsFromWire(record.hits).size();
+                entries += record.hits.size();
+            }
+        for (const auto& worker : config.progress->workers())
+            reported += worker.hits;
+        EXPECT_EQ(reported, sites) << fuzz::workerModeName(mode);
+        EXPECT_LT(entries, sites) << fuzz::workerModeName(mode);
+    }
 }
 
 // ---------------------------------------------------------------------------
