@@ -282,10 +282,29 @@ makeFuzzer(const std::string& name, uint64_t seed, size_t batch = 1)
     fatal("unknown fuzzer " + name);
 }
 
+/** A sharded campaign over @p campaign with the CLI's --shards,
+ *  --worker-mode and --seed; the caller sets the factories. */
+inline fuzz::ParallelCampaignConfig
+shardedCampaign(const BenchOptions& options,
+                const fuzz::CampaignConfig& campaign)
+{
+    fuzz::ParallelCampaignConfig parallel;
+    parallel.campaign = campaign;
+    parallel.shards = options.shards;
+    parallel.workerMode = options.workerMode;
+    parallel.masterSeed = options.seed;
+    // Telemetry (metrics frames, progress aggregator) attaches inside
+    // runParallelCampaign from the process-global flags initTelemetry
+    // set — inert either way.
+    return parallel;
+}
+
 /** Run one fuzzer against one system under test. Iteration-independent
  *  fuzzers always go through the sharded runner — even at --shards 1 —
- *  so the figures are byte-identical for any shard count (Tzer's
- *  mutation corpus forces it onto the serial driver). */
+ *  so the figures are byte-identical for any shard count. Tzer's
+ *  corpus carries state across iterations (it learns from each
+ *  iteration's coverage through Fuzzer::observeCoverage), so it runs
+ *  on the serial driver, a one-shard producer for the same merge. */
 inline fuzz::CampaignResult
 runOne(const std::string& fuzzer_name, const SystemUnderTest& sut,
        const BenchOptions& options, size_t iter_cap)
@@ -301,14 +320,7 @@ runOne(const std::string& fuzzer_name, const SystemUnderTest& sut,
     config.corpusDir = options.corpusDir;
     config.corpusGuided = options.corpusGuided;
     if (fuzzer_name != "Tzer") {
-        fuzz::ParallelCampaignConfig parallel;
-        parallel.campaign = config;
-        parallel.shards = options.shards;
-        parallel.workerMode = options.workerMode;
-        parallel.masterSeed = options.seed;
-        // Telemetry (metrics frames, progress aggregator) attaches
-        // inside runParallelCampaign from the process-global flags
-        // initTelemetry set — inert either way.
+        auto parallel = shardedCampaign(options, config);
         parallel.fuzzerFactory = [fuzzer_name,
                                   batch = options.batch](uint64_t seed) {
             return makeFuzzer(fuzzer_name, seed, batch);

@@ -14,21 +14,27 @@ nnsmith::fuzz::CampaignResult
 runBinning(const nnsmith::bench::SystemUnderTest& sut,
            const nnsmith::bench::BenchOptions& options, bool binning)
 {
-    auto owned = nnsmith::difftest::makeAllBackends();
-    std::vector<nnsmith::backends::Backend*> backend_list = {
-        owned[static_cast<size_t>(sut.backendIndex)].get()};
-    nnsmith::fuzz::NNSmithFuzzer::Options fopts;
-    fopts.generator.targetOpNodes = 10;
-    fopts.generator.enableBinning = binning;
-    fopts.search.timeBudgetMs = 8.0;
-    nnsmith::fuzz::NNSmithFuzzer fuzzer(fopts, options.seed);
     nnsmith::fuzz::CampaignConfig config;
     config.virtualBudget =
         static_cast<nnsmith::VirtualMs>(options.minutes) * 60 * 1000;
     config.maxIterations = options.iters;
     config.coverageComponent = sut.component;
-    auto result =
-        nnsmith::fuzz::runCampaign(fuzzer, backend_list, config);
+    auto parallel = nnsmith::bench::shardedCampaign(options, config);
+    parallel.fuzzerFactory = [binning](uint64_t seed) {
+        nnsmith::fuzz::NNSmithFuzzer::Options fopts;
+        fopts.generator.targetOpNodes = 10;
+        fopts.generator.enableBinning = binning;
+        fopts.search.timeBudgetMs = 8.0;
+        return std::make_unique<nnsmith::fuzz::NNSmithFuzzer>(fopts, seed);
+    };
+    parallel.backendFactory = [index = static_cast<size_t>(
+                                   sut.backendIndex)] {
+        auto owned = nnsmith::difftest::makeAllBackends();
+        std::vector<std::unique_ptr<nnsmith::backends::Backend>> picked;
+        picked.push_back(std::move(owned[index]));
+        return picked;
+    };
+    auto result = nnsmith::fuzz::runParallelCampaign(parallel);
     result.fuzzer = binning ? "w/ binning" : "no binning";
     return result;
 }

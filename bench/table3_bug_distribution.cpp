@@ -26,14 +26,6 @@ main(int argc, char** argv)
     std::printf("== Table 3: bug distribution ==\n");
 
     // ---- long NNSmith campaign over all backends ----------------------
-    auto owned = nnsmith::difftest::makeAllBackends();
-    std::vector<nnsmith::backends::Backend*> backend_list;
-    for (const auto& b : owned)
-        backend_list.push_back(b.get());
-    nnsmith::fuzz::NNSmithFuzzer::Options fopts;
-    fopts.generator.targetOpNodes = 10;
-    fopts.search.timeBudgetMs = 8.0;
-    nnsmith::fuzz::NNSmithFuzzer fuzzer(fopts, options.seed);
     nnsmith::fuzz::CampaignConfig config;
     // The bug hunt is iteration-bounded (the paper's bugs accumulated
     // over months, not one 4-hour window); give it a week of virtual
@@ -42,8 +34,14 @@ main(int argc, char** argv)
     config.maxIterations = iters;
     config.coverageComponent = "";
     config.sampleEveryMinutes = 24 * 60;
-    const auto campaign =
-        nnsmith::fuzz::runCampaign(fuzzer, backend_list, config);
+    auto parallel = shardedCampaign(options, config);
+    parallel.fuzzerFactory = [](uint64_t seed) {
+        return makeFuzzer("NNSmith", seed);
+    };
+    parallel.backendFactory = [] {
+        return nnsmith::difftest::makeAllBackends();
+    };
+    const auto campaign = nnsmith::fuzz::runParallelCampaign(parallel);
 
     // ---- Table 3 matrix ------------------------------------------------
     const auto& registry = DefectRegistry::instance();

@@ -50,6 +50,12 @@ if ! ls build/repro-smoke/*.repro.txt >/dev/null 2>&1; then
     exit 1
 fi
 
+echo "== Tzer smoke: serial coverage-guided campaign with --minimize =="
+# Tzer learns from the campaign loop's coverage feedback, and its
+# minimized TIR repros (no initial buffers) cross the wire format into
+# the merge; a repro that fails to decode aborts the run.
+./build/bench/fig8_tzer_venn --iters 60 --minimize
+
 echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
 # Exits nonzero unless every backend's sequence bins are nonempty, the
 # three-way Venn center is nonempty, and all shard counts merge

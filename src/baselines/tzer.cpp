@@ -8,7 +8,6 @@
 namespace nnsmith::baselines {
 
 using backends::BackendError;
-using coverage::CoverageRegistry;
 
 TzerFuzzer::TzerFuzzer(uint64_t seed, fuzz::CostModel cost)
     : seed_(seed), cost_(cost)
@@ -84,14 +83,32 @@ TzerFuzzer::iterate(const std::vector<backends::Backend*>&)
             bug.seqRepro = repro;
     }
 
-    // Coverage feedback: keep inputs that grew the TIR branch set.
-    const size_t now =
-        CoverageRegistry::instance().snapshot("tvmlite/pass").count();
-    if (now > lastCoverage_ && !crashed && corpus_.size() < 256) {
-        corpus_.push_back(std::move(program));
-        lastCoverage_ = now;
-    }
+    pending_.reset();
+    if (!crashed)
+        pending_ = std::move(program);
     return outcome;
+}
+
+void
+TzerFuzzer::observeCoverage(const std::vector<coverage::BranchId>& hits)
+{
+    // Coverage feedback: keep inputs that grew the TIR branch set.
+    std::vector<coverage::BranchId> fresh;
+    for (const auto id : hits) {
+        if (id >= seen_.size())
+            seen_.resize(id + 1, false);
+        if (!seen_[id])
+            fresh.push_back(id);
+        seen_[id] = true;
+    }
+    for (const auto& site :
+         coverage::CoverageRegistry::instance().describeSites(fresh))
+        passCoverage_ += site.component.rfind("tvmlite/pass", 0) == 0;
+    if (pending_ && passCoverage_ > lastCoverage_ && corpus_.size() < 256) {
+        corpus_.push_back(std::move(*pending_));
+        lastCoverage_ = passCoverage_;
+    }
+    pending_.reset();
 }
 
 } // namespace nnsmith::baselines

@@ -9,6 +9,8 @@
 #ifndef NNSMITH_BASELINES_TZER_H
 #define NNSMITH_BASELINES_TZER_H
 
+#include <optional>
+
 #include "fuzz/fuzzer.h"
 #include "tirlite/tir.h"
 
@@ -24,6 +26,11 @@ class TzerFuzzer final : public fuzz::Fuzzer {
     fuzz::IterationOutcome
     iterate(const std::vector<backends::Backend*>& backend_list) override;
 
+    /** Admit the last iteration's program (unless it crashed) to the
+     *  corpus when the TIR pass branch set has grown. */
+    void
+    observeCoverage(const std::vector<coverage::BranchId>& hits) override;
+
     size_t corpusSize() const { return corpus_.size(); }
 
   private:
@@ -31,7 +38,11 @@ class TzerFuzzer final : public fuzz::Fuzzer {
     uint64_t iteration_ = 0; ///< keys each iterate()'s private RNG
     fuzz::CostModel cost_;
     std::vector<tirlite::TirProgram> corpus_;
-    size_t lastCoverage_ = 0;
+    /** The last iteration's program; empty if it crashed. */
+    std::optional<tirlite::TirProgram> pending_;
+    std::vector<bool> seen_;     ///< by BranchId: observed before
+    size_t passCoverage_ = 0;    ///< distinct tvmlite/pass sites seen
+    size_t lastCoverage_ = 0;    ///< passCoverage_ at the last admission
 };
 
 } // namespace nnsmith::baselines

@@ -1,6 +1,6 @@
 #include "corpus/corpus.h"
 
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,22 +16,29 @@ using fuzz::BugRecord;
 
 namespace {
 
+/** Append " v" as printf's %.17g would (to_chars is specified to match
+ *  it), so float bit patterns round-trip; large leaves run to MBs. */
+void
+renderElement(std::ostringstream& os, double v)
+{
+    char buffer[32] = {' '};
+    const auto end = std::to_chars(buffer + 1, buffer + sizeof(buffer), v,
+                                   std::chars_format::general, 17);
+    os.write(buffer, end.ptr - buffer);
+}
+
 void
 renderLeaves(std::ostringstream& os, const exec::LeafValues& leaves)
 {
-    // Repros must be replayable: every element, at %.17g so float
-    // bit patterns round-trip (matching the seq-repro buffer dump;
-    // Tensor::toString truncates and prints 6 digits).
-    char buffer[64];
+    // Repros must be replayable: every element, at %.17g (matching the
+    // seq-repro buffer dump; Tensor::toString truncates and prints 6
+    // digits).
     for (const auto& [value_id, tensor] : leaves) {
         os << "  %" << value_id << ": "
            << tensor::dtypeName(tensor.dtype())
            << tensor.shape().toString() << " =";
-        for (int64_t i = 0; i < tensor.numel(); ++i) {
-            std::snprintf(buffer, sizeof(buffer), " %.17g",
-                          tensor.scalarAt(i));
-            os << buffer;
-        }
+        for (int64_t i = 0; i < tensor.numel(); ++i)
+            renderElement(os, tensor.scalarAt(i));
         os << "\n";
     }
 }
@@ -110,11 +117,8 @@ renderRepro(const BugRecord& bug)
             os << "\n" << schema::kSectionBuffers << "\n";
             for (size_t b = 0; b < repro.initial.size(); ++b) {
                 os << "  buffer[" << b << "]:";
-                char buffer[64];
-                for (const double v : repro.initial[b]) {
-                    std::snprintf(buffer, sizeof(buffer), " %.17g", v);
-                    os << buffer;
-                }
+                for (const double v : repro.initial[b])
+                    renderElement(os, v);
                 os << "\n";
             }
         }

@@ -856,8 +856,11 @@ parseRepro(const std::string& text)
         ++cursor.pos;
     repro->program = parseTirProgramLines(lines, begin, cursor.pos);
 
-    if (!cursor.done()) {
+    // A repro without initial buffers ends with the program, possibly
+    // followed by blank lines (the renderer leaves one).
+    if (!cursor.done())
         cursor.blanks();
+    if (!cursor.done()) {
         if (cursor.next("buffers section") != schema::kSectionBuffers)
             fail("expected initial-buffers section after the program");
         while (!cursor.done() && !lines[cursor.pos].empty()) {

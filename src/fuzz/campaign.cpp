@@ -4,10 +4,9 @@
 #include <sstream>
 
 #include "backends/defects.h"
+#include "fuzz/parallel_campaign.h"
 #include "fuzz/wire.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "reduce/reducer.h"
 #include "reduce/report.h"
 #include "support/logging.h"
 
@@ -35,102 +34,51 @@ renderSites(const coverage::CoverageMap& map)
 
 } // namespace
 
+corpus::ReplayResult
+replayCampaignCorpus(const std::string& corpus_dir,
+                     const std::vector<backends::Backend*>& backends)
+{
+    obs::PhaseSpan span("replay");
+    corpus::ReplayResult regressions;
+    try {
+        regressions = corpus::replayCorpus(corpus_dir, backends);
+    } catch (const corpus::ParseError& error) {
+        // A missing or malformed index is a configuration error
+        // (mistyped --corpus), not an internal failure.
+        fatal(std::string("campaign corpusDir: ") + error.what());
+    }
+    corpus::writeRegressions(corpus_dir, regressions);
+    return regressions;
+}
+
 CampaignResult
 runCampaign(Fuzzer& fuzzer,
             const std::vector<backends::Backend*>& backends,
             const CampaignConfig& config)
 {
-    auto& registry = CoverageRegistry::instance();
-    registry.resetHits();
-
-    CampaignResult result;
-    result.fuzzer = fuzzer.name();
+    // Backends were built by the caller, so the collector sees only
+    // replay's oracle runs (dropped) and then the iterations.
+    coverage::CoverageCollector collector;
+    corpus::ReplayResult regressions;
     if (!config.corpusDir.empty()) {
-        // Re-check every known bug before fresh fuzzing. The scratch
-        // collector keeps replay's oracle runs out of the global hit
-        // bits, so --corpus cannot perturb campaign coverage.
-        obs::PhaseSpan span("replay");
-        coverage::CoverageCollector scratch;
-        try {
-            result.regressions =
-                corpus::replayCorpus(config.corpusDir, backends);
-        } catch (const corpus::ParseError& error) {
-            // A missing or malformed index is a configuration error
-            // (mistyped --corpus), not an internal failure.
-            fatal(std::string("runCampaign corpusDir: ") + error.what());
-        }
-        corpus::writeRegressions(config.corpusDir, result.regressions);
+        regressions = replayCampaignCorpus(config.corpusDir, backends);
+        collector.take();
     }
-    VirtualClock clock;
-    double next_sample = 0.0;
 
-    auto take_sample = [&]() {
-        CampaignPoint point;
-        point.minutes = clock.minutes();
-        point.iterations = result.iterations;
-        point.coverageAll =
-            registry.snapshot(config.coverageComponent).count();
-        point.coveragePass =
-            registry.snapshotPassOnly(config.coverageComponent).count();
-        result.series.push_back(point);
-    };
-    take_sample();
-    next_sample = config.sampleEveryMinutes;
-
-    while (clock.now() < config.virtualBudget &&
-           result.iterations < config.maxIterations) {
-        IterationOutcome outcome = fuzzer.iterate(backends);
-        ++result.iterations;
-        result.produced += outcome.produced ? 1 : 0;
-        obs::counterAdd("campaign.iterations");
-        if (outcome.produced)
-            obs::counterAdd("campaign.produced");
-        if (!outcome.bugs.empty())
-            obs::counterAdd("campaign.bugs.flagged", outcome.bugs.size());
-        clock.advance(std::max<VirtualMs>(outcome.cost, 1));
-        if (config.minimize && !outcome.bugs.empty()) {
-            // Keep the reduction's oracle re-runs out of the global
-            // coverage hit bits so --minimize does not change coverage
-            // (requires no collector active on this thread; sharded
-            // campaigns go through runParallelCampaign instead).
-            coverage::CoverageCollector scratch;
-            reduce::minimizeBugs(outcome.bugs, backends);
-        }
-        for (auto& bug : outcome.bugs) {
-            for (const auto& defect : bug.defects)
-                result.defectsFound.insert(defect);
-            result.bugs.emplace(bug.dedupKey, std::move(bug));
-        }
-        for (auto& key : outcome.instanceKeys)
-            result.instanceKeys.insert(std::move(key));
-        while (clock.minutes() >= next_sample) {
-            take_sample();
-            // Re-stamp the sample at its nominal bucket boundary so
-            // different fuzzers' series align on the x axis.
-            result.series.back().minutes = next_sample;
-            next_sample += config.sampleEveryMinutes;
-        }
+    // Capture exactly the prefix the merge consumes: until the
+    // cumulative cost reaches the budget or the cap.
+    ShardResult shard;
+    VirtualMs spent = 0;
+    for (size_t index = 0;
+         spent < config.virtualBudget && index < config.maxIterations;
+         ++index) {
+        shard.records.push_back(
+            captureIteration(fuzzer, index, config, backends, collector));
+        spent += std::max<VirtualMs>(shard.records.back().cost, 1);
     }
-    result.activeTime = clock.now();
-    // If the real-iteration cap was hit before the virtual budget,
-    // fast-forward the converged plateau: coverage cannot grow without
-    // new test cases, so the remaining samples hold the final value
-    // (the paper notes curves "generally converge before" 4 hours).
-    // Bounded so iteration-capped campaigns with huge budgets stay
-    // cheap.
-    while (clock.now() < config.virtualBudget &&
-           result.series.size() < 4096) {
-        clock.advance(
-            static_cast<VirtualMs>(config.sampleEveryMinutes) * 60 * 1000);
-        take_sample();
-        result.series.back().minutes = next_sample;
-        next_sample += config.sampleEveryMinutes;
-    }
-    take_sample();
-    result.coverAll = registry.snapshot(config.coverageComponent);
-    result.coverPass =
-        registry.snapshotPassOnly(config.coverageComponent);
-    result.virtualTime = clock.now();
+    CampaignResult result =
+        mergeShardResults({std::move(shard)}, config, fuzzer.name());
+    result.regressions = std::move(regressions);
     if (!config.reportDir.empty())
         reduce::writeReproReports(result.bugs, config.reportDir);
     return result;

@@ -129,10 +129,23 @@ struct CampaignResult {
     size_t respawns = 0;
 };
 
-/** Run @p fuzzer for the configured budget. Resets coverage hits. */
+/**
+ * Run @p fuzzer serially for the configured budget — the driver for
+ * stateful fuzzers (Tzer). A one-shard producer: captureIteration
+ * records each iteration of the caller's fuzzer (feeding it
+ * Fuzzer::observeCoverage) and mergeShardResults computes the result.
+ * Must not be called while a collector is active on this thread.
+ */
 CampaignResult runCampaign(Fuzzer& fuzzer,
                            const std::vector<backends::Backend*>& backends,
                            const CampaignConfig& config);
+
+/** Replay @p corpus_dir against @p backends and write its
+ *  regressions.tsv; fatal on a bad index. Opens no collector: the
+ *  caller's (at most one per thread) keeps replay out of coverage. */
+corpus::ReplayResult
+replayCampaignCorpus(const std::string& corpus_dir,
+                     const std::vector<backends::Backend*>& backends);
 
 /**
  * Everything a campaign concludes, as one canonical string: the

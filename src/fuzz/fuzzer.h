@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "autodiff/grad_search.h"
+#include "coverage/coverage.h"
 #include "difftest/oracle.h"
 #include "gen/generator.h"
 #include "support/rng.h"
@@ -98,6 +99,10 @@ class Fuzzer {
     /** Produce and execute one test case against @p backends. */
     virtual IterationOutcome
     iterate(const std::vector<backends::Backend*>& backend_list) = 0;
+
+    /** The sorted branch ids the last iterate() hit, from the
+     *  campaign loop. Only stateful fuzzers (Tzer) use this feedback. */
+    virtual void observeCoverage(const std::vector<coverage::BranchId>&) {}
 };
 
 /** Translate a differential-test result into bug records. */

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 
-#include "corpus/replay.h"
+#include "backends/defects.h"
 #include "fuzz/mutator.h"
 #include "fuzz/wire.h"
 #include "fuzz/worker_runtime.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
+#include "reduce/reducer.h"
 #include "reduce/report.h"
 #include "support/logging.h"
 
@@ -26,6 +26,41 @@ deriveIterationSeed(uint64_t master_seed, uint64_t index)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
+}
+
+ShardResult::IterationRecord
+captureIteration(Fuzzer& fuzzer, size_t index, const CampaignConfig& config,
+                 const std::vector<backends::Backend*>& backend_list,
+                 coverage::CoverageCollector& collector)
+{
+    IterationOutcome outcome = fuzzer.iterate(backend_list);
+    ShardResult::IterationRecord record;
+    record.index = index;
+    record.cost = outcome.cost;
+    record.produced = outcome.produced;
+    record.instanceKeys = std::move(outcome.instanceKeys);
+    const auto hits = collector.take();
+    fuzzer.observeCoverage(hits);
+    record.hits = wire::hitsToWire(hits);
+    obs::counterAdd("campaign.iterations");
+    if (record.produced)
+        obs::counterAdd("campaign.produced");
+    if (!outcome.bugs.empty()) {
+        obs::counterAdd("campaign.bugs.flagged", outcome.bugs.size());
+        if (config.minimize) {
+            // Minimize inside the shard: ddmin is a pure function of
+            // the flagged case, so the merge stays shard-count
+            // invariant, and the reduction parallelizes with the
+            // campaign itself.
+            reduce::minimizeBugs(outcome.bugs, backend_list);
+        }
+        backends::DefectRegistry::TraceScope trace_scope;
+        record.bugs.reserve(outcome.bugs.size());
+        for (const auto& bug : outcome.bugs)
+            record.bugs.push_back(wire::encodeBug(bug));
+        collector.take(); // drop oracle re-run + export render hits
+    }
+    return record;
 }
 
 CampaignResult
@@ -55,14 +90,14 @@ mergeShardResults(const std::vector<ShardResult>& shards,
     VirtualClock clock;
     double next_sample = 0.0;
 
-    // Replay mirrors runCampaign: same sampling cadence, same budget
-    // and iteration-cap checks, same converged-plateau fast-forward —
-    // but coverage counts come from the per-iteration hit deltas
-    // instead of the global registry bits. Records arrive in wire
-    // format regardless of the worker runtime: hit site keys and
-    // range runs are interned into *this* process's registry and bug
-    // documents parsed back through the corpus machinery, so thread
-    // and process shards merge identically.
+    // The one campaign loop: the virtual clock, budget and cap checks,
+    // sample cadence and converged-plateau fast-forward live here and
+    // nowhere else. Coverage counts come from the per-iteration hit
+    // deltas. Records arrive in wire format regardless of the
+    // producer: hit site keys and range runs are interned into *this*
+    // process's registry and bug documents parsed back through the
+    // corpus machinery, so serial, thread and process records merge
+    // identically.
     auto take_sample = [&]() {
         CampaignPoint point;
         point.minutes = clock.minutes();
@@ -120,6 +155,8 @@ mergeShardResults(const std::vector<ShardResult>& shards,
         }
     }
     result.activeTime = clock.now();
+    // Past the iteration cap coverage cannot grow, so the remaining
+    // samples hold the converged value (bounded for huge budgets).
     while (clock.now() < config.virtualBudget &&
            result.series.size() < 4096) {
         clock.advance(
@@ -144,8 +181,6 @@ runParallelCampaign(const ParallelCampaignConfig& config)
         fatal("runParallelCampaign: fuzzerFactory and backendFactory "
               "must both be set");
 
-    CoverageRegistry::instance().resetHits();
-
     corpus::ReplayResult regressions;
     if (!config.campaign.corpusDir.empty()) {
         // Replay the regression corpus once, on the coordinator,
@@ -153,23 +188,14 @@ runParallelCampaign(const ParallelCampaignConfig& config)
         // both backend construction and replay's oracle runs, so the
         // merged campaign result is unchanged by --corpus and stays
         // byte-identical for any shard count.
-        obs::PhaseSpan span("replay");
         coverage::CoverageCollector scratch;
         auto owned = config.backendFactory();
         std::vector<backends::Backend*> backend_list;
         backend_list.reserve(owned.size());
         for (auto& backend : owned)
             backend_list.push_back(backend.get());
-        try {
-            regressions = corpus::replayCorpus(config.campaign.corpusDir,
-                                               backend_list);
-        } catch (const corpus::ParseError& error) {
-            // A missing or malformed index is a configuration error
-            // (mistyped --corpus), not an internal failure.
-            fatal(std::string("runParallelCampaign corpusDir: ") +
-                  error.what());
-        }
-        corpus::writeRegressions(config.campaign.corpusDir, regressions);
+        regressions =
+            replayCampaignCorpus(config.campaign.corpusDir, backend_list);
     }
 
     ParallelCampaignConfig effective = config;

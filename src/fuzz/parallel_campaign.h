@@ -26,15 +26,15 @@
  * documents — process-portable payloads that round-trip
  * byte-identically, so a record means the same thing whether it
  * crossed a pipe or stayed in memory. Merging replays the records in
- * global index order, applying the virtual budget and iteration cap
- * exactly as the serial campaign driver does; speculatively executed
- * records past the budget cutoff are discarded. Execution proceeds in
- * synchronized rounds so that the speculation overshoot stays bounded.
+ * global index order, applying the virtual budget and iteration cap;
+ * speculatively executed records past the budget cutoff are discarded.
+ * Execution proceeds in synchronized rounds so that the speculation
+ * overshoot stays bounded.
  *
  * The orchestrator requires an iteration-independent fuzzer (NNSmith
- * and the generative baselines qualify). Mutation-based fuzzers that
- * carry state across iterate() calls (Tzer) would change behaviour
- * under sharding; run those through the serial runCampaign instead.
+ * and the generative baselines qualify). Fuzzers that carry state
+ * across iterate() calls (Tzer) run on the serial runCampaign, a
+ * one-shard producer of the same records for the same merge.
  */
 #ifndef NNSMITH_FUZZ_PARALLEL_CAMPAIGN_H
 #define NNSMITH_FUZZ_PARALLEL_CAMPAIGN_H
@@ -169,16 +169,29 @@ struct ShardResult {
 uint64_t deriveIterationSeed(uint64_t master_seed, uint64_t index);
 
 /**
+ * Run one iteration of @p fuzzer and capture its record at global
+ * index @p index; the serial driver and both worker runtimes all
+ * produce records here. The hits go to Fuzzer::observeCoverage too.
+ * @p collector must be active on this thread and drained of
+ * backend-construction hits; minimization and bug encoding hits land
+ * in it and are dropped, so they cannot perturb coverage.
+ */
+ShardResult::IterationRecord
+captureIteration(Fuzzer& fuzzer, size_t index, const CampaignConfig& config,
+                 const std::vector<backends::Backend*>& backend_list,
+                 coverage::CoverageCollector& collector);
+
+/**
  * Merge shard results into one CampaignResult by replaying the
  * iteration records in global index order under @p config's virtual
- * budget, iteration cap and sampling cadence (mirroring runCampaign's
- * loop exactly). Consumes only the wire format: hit keys are interned
- * into this process's coverage registry and bug documents parsed back
- * through the corpus machinery, so records from forked workers and
- * records from sibling threads merge identically. Order-independent:
- * any permutation of @p shards yields the same result. @p fuzzer_name
- * labels the result. Throws corpus::ParseError on a malformed record
- * payload.
+ * budget, iteration cap and sampling cadence — the one campaign loop,
+ * for the serial driver too. Consumes only the wire format: hit keys
+ * are interned into this process's coverage registry and bug
+ * documents parsed back through the corpus machinery, so records from
+ * forked workers and sibling threads merge identically. Order-
+ * independent: any permutation of @p shards yields the same result.
+ * @p fuzzer_name labels the result. Throws corpus::ParseError on a
+ * malformed record payload.
  */
 CampaignResult mergeShardResults(const std::vector<ShardResult>& shards,
                                  const CampaignConfig& config,
@@ -186,8 +199,7 @@ CampaignResult mergeShardResults(const std::vector<ShardResult>& shards,
 
 /**
  * Run a sharded campaign on config.shards workers of config.workerMode
- * and return the merged result. Resets global coverage hit state, like
- * runCampaign.
+ * and return the merged result.
  */
 CampaignResult runParallelCampaign(const ParallelCampaignConfig& config);
 

@@ -14,64 +14,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "backends/defects.h"
 #include "fuzz/wire.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "reduce/reducer.h"
 #include "support/logging.h"
 
 namespace nnsmith::fuzz {
 
 namespace {
-
-/**
- * Execute one self-seeded iteration and capture its wire-format
- * record. Shared by both runtimes, so a record's bytes are identical
- * whether the worker is a thread or a forked process.
- *
- * The collector must be active on this thread and already drained of
- * backend-construction hits. Minimization re-runs the oracle and bug
- * encoding re-runs the ONNX export; both land in the collector (and
- * the defect trace) and are dropped afterwards so neither can perturb
- * coverage or the next iteration's verdicts.
- */
-ShardResult::IterationRecord
-runOneIteration(const ParallelCampaignConfig& config, size_t index,
-                const std::vector<backends::Backend*>& backend_list,
-                coverage::CoverageCollector& collector)
-{
-    auto fuzzer = config.fuzzerFactory(
-        deriveIterationSeed(config.masterSeed, index));
-    IterationOutcome outcome = fuzzer->iterate(backend_list);
-    ShardResult::IterationRecord record;
-    record.index = index;
-    record.cost = outcome.cost;
-    record.produced = outcome.produced;
-    record.instanceKeys = std::move(outcome.instanceKeys);
-    record.hits = wire::hitsToWire(collector.take());
-    obs::counterAdd("campaign.iterations");
-    if (record.produced)
-        obs::counterAdd("campaign.produced");
-    if (!outcome.bugs.empty())
-        obs::counterAdd("campaign.bugs.flagged", outcome.bugs.size());
-    if (!outcome.bugs.empty()) {
-        if (config.campaign.minimize) {
-            // Minimize inside the shard: ddmin is a pure function of
-            // the flagged case, so the merge stays shard-count
-            // invariant, and the reduction parallelizes with the
-            // campaign itself.
-            reduce::minimizeBugs(outcome.bugs, backend_list);
-        }
-        backends::DefectRegistry::TraceScope trace_scope;
-        record.bugs.reserve(outcome.bugs.size());
-        for (const auto& bug : outcome.bugs)
-            record.bugs.push_back(wire::encodeBug(bug));
-        collector.take(); // drop oracle re-run + export render hits
-    }
-    return record;
-}
 
 /** The strided start index for @p shard inside [begin, end). */
 size_t
@@ -174,8 +125,11 @@ class ThreadRuntime final : public WorkerRuntime {
                              stridedStart(begin, shard, shard_count);
                          index < end;
                          index += static_cast<size_t>(shard_count)) {
-                        mine.records.push_back(runOneIteration(
-                            config, index, backend_list, collector));
+                        const auto fuzzer = config.fuzzerFactory(
+                            deriveIterationSeed(config.masterSeed, index));
+                        mine.records.push_back(captureIteration(
+                            *fuzzer, index, config.campaign, backend_list,
+                            collector));
                         const auto& record = mine.records.back();
                         ++hb_iters;
                         hb_bugs += record.bugs.size();
@@ -431,8 +385,11 @@ workerChildLoop(const ParallelCampaignConfig& config, int shard,
             for (size_t index = stridedStart(begin, shard, shard_count);
                  index < end;
                  index += static_cast<size_t>(shard_count)) {
-                records.push_back(runOneIteration(
-                    config, index, backend_list, *collector));
+                const auto fuzzer = config.fuzzerFactory(
+                    deriveIterationSeed(config.masterSeed, index));
+                records.push_back(captureIteration(*fuzzer, index,
+                                                   config.campaign,
+                                                   backend_list, *collector));
                 ++cum_iters;
                 cum_bugs += records.back().bugs.size();
                 cum_hits += wire::siteCount(records.back().hits);

@@ -142,28 +142,36 @@ TEST(TzerProperties, FreshIterationsAreCorpusStateIndependent)
     // matter how the coverage-guided corpus diverged earlier. (With
     // the old shared-RNG stream, corpus divergence shifted every later
     // draw, including fresh ones.)
-    auto& registry = coverage::CoverageRegistry::instance();
     const uint64_t seed = 99;
     const int iters = 40;
-    auto run = [&](bool cold_coverage) {
-        if (cold_coverage)
-            registry.resetHits();
-        TzerFuzzer fuzzer(seed);
+    struct Run {
         std::vector<std::vector<std::string>> keys;
+        size_t corpus = 0;
+    };
+    auto run = [&](bool feedback) {
+        // Only the campaign loop's observeCoverage feedback grows the
+        // corpus: the fed run mutates corpus entries, the unfed one
+        // never has any to mutate.
+        coverage::CoverageCollector collector;
+        TzerFuzzer fuzzer(seed);
+        Run out;
         for (int i = 0; i < iters; ++i) {
             const auto outcome = fuzzer.iterate({});
+            const auto hits = collector.take();
+            if (feedback)
+                fuzzer.observeCoverage(hits);
             std::vector<std::string> iteration_keys;
             for (const auto& bug : outcome.bugs)
                 iteration_keys.push_back(bug.dedupKey);
-            keys.push_back(std::move(iteration_keys));
+            out.keys.push_back(std::move(iteration_keys));
         }
-        return keys;
+        out.corpus = fuzzer.corpusSize();
+        return out;
     };
-    // Cold coverage: the corpus grows on every early coverage gain.
-    // Saturated coverage (no reset after the first run): the push
-    // signal mostly stays flat, so the second corpus diverges hard.
-    const auto cold = run(/*cold_coverage=*/true);
-    const auto saturated = run(/*cold_coverage=*/false);
+    const auto fed = run(/*feedback=*/true);
+    const auto unfed = run(/*feedback=*/false);
+    EXPECT_GT(fed.corpus, 0u);
+    EXPECT_EQ(unfed.corpus, 0u);
 
     // Recompute each iteration's coin exactly as the fuzzer does: the
     // first draw of the per-iteration RNG.
@@ -174,15 +182,14 @@ TEST(TzerProperties, FreshIterationsAreCorpusStateIndependent)
         if (!it_rng.chance(0.2))
             continue;
         ++fresh_count;
-        EXPECT_EQ(cold[static_cast<size_t>(i)],
-                  saturated[static_cast<size_t>(i)])
+        EXPECT_EQ(fed.keys[static_cast<size_t>(i)],
+                  unfed.keys[static_cast<size_t>(i)])
             << "fresh iteration " << i << " depended on corpus state";
     }
     EXPECT_GT(fresh_count, 0u);
 
     // Identical conditions still give identical streams end to end.
-    EXPECT_EQ(run(true), run(true));
-    registry.resetHits();
+    EXPECT_EQ(run(true).keys, fed.keys);
 }
 
 TEST(CostModel, LemonIsOrdersOfMagnitudeSlower)

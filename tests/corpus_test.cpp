@@ -14,6 +14,7 @@
 #include "difftest/oracle.h"
 #include "fuzz/parallel_campaign.h"
 #include "fuzz/pass_fuzzer.h"
+#include "fuzz/wire.h"
 #include "tirlite/tir_interp.h"
 
 namespace nnsmith {
@@ -203,6 +204,32 @@ TEST(CorpusParser, TirProgramTextRoundTripsThroughToString)
     EXPECT_EQ(stats.stores, 1);
     EXPECT_TRUE(stats.hasIntrinsics);
     EXPECT_EQ(program.toString(), text);
+}
+
+TEST(CorpusParser, TirReproWithoutInitialBuffersRoundTrips)
+{
+    // Tzer's repros carry no initial buffers: the document ends with
+    // the program and a blank line. It must survive the wire round
+    // trip the campaign merge puts every bug through.
+    const std::filesystem::path data =
+        std::filesystem::path(NNSMITH_TEST_DATA_DIR) / "corpus";
+    auto bug = corpus::parseRepro(
+        readFile(data / "TVMLite_crash_tvm.tir.cse_load-ba14f311.repro.txt"));
+    ASSERT_NE(bug.seqRepro, nullptr);
+    auto bare = std::make_shared<fuzz::SeqRepro>(*bug.seqRepro);
+    bare->initial.clear();
+    bug.seqRepro = bare;
+
+    const std::string text = fuzz::wire::encodeBug(bug);
+    EXPECT_EQ(text.find(corpus::schema::kSectionBuffers), std::string::npos);
+    const auto decoded = fuzz::wire::decodeBug(text);
+    ASSERT_NE(decoded.seqRepro, nullptr);
+    EXPECT_TRUE(decoded.seqRepro->initial.empty());
+    EXPECT_EQ(decoded.seqRepro->program.toString(), bare->program.toString());
+    EXPECT_EQ(fuzz::wire::encodeBug(decoded), text);
+    // Extra trailing blank lines are tolerated too.
+    EXPECT_EQ(fuzz::wire::encodeBug(fuzz::wire::decodeBug(text + "\n\n")),
+              text);
 }
 
 TEST(CorpusParser, MalformedInputsAreStructuredErrors)

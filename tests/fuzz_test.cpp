@@ -132,20 +132,26 @@ TEST(GraphFuzzerLite, GeneratesRepairedGraphs)
 
 TEST(Tzer, CoverageGuidedCorpusGrows)
 {
+    // The campaign loop feeds each iteration's coverage back through
+    // observeCoverage; that feedback is what grows the corpus.
     baselines::TzerFuzzer tzer(13);
-    coverage::CoverageRegistry::instance().resetHits();
-    for (int i = 0; i < 200; ++i)
-        tzer.iterate({});
+    CampaignConfig config;
+    config.maxIterations = 200;
+    config.coverageComponent = "tvmlite";
+    const auto result = runCampaign(tzer, {}, config);
+    EXPECT_EQ(result.iterations, 200u);
     EXPECT_GE(tzer.corpusSize(), 2u);
     // Tzer only exercises low-level passes, never graph-level ones.
-    EXPECT_GT(coverage::CoverageRegistry::instance()
-                  .snapshot("tvmlite/pass")
-                  .count(),
-              0u);
-    EXPECT_EQ(coverage::CoverageRegistry::instance()
-                  .snapshot("tvmlite/transform")
-                  .count(),
-              0u);
+    const std::vector<coverage::BranchId> ids(
+        result.coverAll.branches().begin(), result.coverAll.branches().end());
+    size_t pass_sites = 0;
+    for (const auto& site :
+         coverage::CoverageRegistry::instance().describeSites(ids)) {
+        pass_sites += site.component.rfind("tvmlite/pass", 0) == 0;
+        EXPECT_NE(site.component.rfind("tvmlite/transform", 0), 0u)
+            << site.key;
+    }
+    EXPECT_GT(pass_sites, 0u);
 }
 
 TEST(BugRecords, ExportCrashShortCircuits)
