@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "gen/binning.h"
+#include "obs/metrics.h"
 #include "support/logging.h"
 
 namespace nnsmith::gen {
@@ -308,7 +309,17 @@ GraphGenerator::generate()
 {
     Session session;
     session.solver = solver::makeSolver(config_.solverKind, rng_.next());
+    auto result = build(session);
+    obs::counterAdd("gen.solver_queries", session.solverQueries);
+    obs::counterAdd("gen.rejected_insertions", session.rejected);
+    if (!result)
+        obs::counterAdd("gen.failed");
+    return result;
+}
 
+std::optional<GeneratedModel>
+GraphGenerator::build(Session& session)
+{
     // Seed graph: one placeholder (paper §3.2).
     {
         std::vector<Pred> pending;

@@ -93,7 +93,10 @@ class GraphGenerator {
 
     /**
      * Generate one model; nullopt if the attempt budget was exhausted
-     * (rare — retried by callers).
+     * (rare — retried by callers). Counts the attempt's solver queries
+     * and rejected insertions into the metrics registry
+     * (gen.solver_queries, gen.rejected_insertions), and failed
+     * attempts as gen.failed.
      */
     std::optional<GeneratedModel> generate();
 
@@ -103,6 +106,10 @@ class GraphGenerator {
 
   private:
     struct Session; // per-generate() mutable state
+
+    /** One generation attempt in @p session (generate() minus the
+     *  outcome metrics). */
+    std::optional<GeneratedModel> build(Session& session);
 
     bool tryInsert(Session& session, const ops::OpMeta& meta);
     bool forwardInsert(Session& session, const ops::OpMeta& meta);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "exec/interpreter.h"
 #include "gen/binning.h"
@@ -100,6 +101,45 @@ TEST(Generator, DeterministicForFixedSeed)
     ASSERT_EQ(ma.has_value(), mb.has_value());
     if (ma) {
         EXPECT_EQ(ma->graph.toString(), mb->graph.toString());
+    }
+}
+
+TEST(Generator, PureFunctionOfSeed)
+{
+    // A generated graph depends on its seed alone: nothing a solver
+    // learned while generating one model may leak into the next (each
+    // generate() solves in a fresh solver context). Generation order
+    // and the generating thread must not matter.
+    constexpr uint64_t kSeeds = 200;
+    constexpr size_t kThreads = 4;
+    GeneratorConfig config; // the paper's: z3 when built in, k=7, 10 ops
+    const auto render = [&config](uint64_t seed) {
+        const auto model = GraphGenerator(config, seed).generate();
+        return model ? model->graph.toString() : std::string("<none>");
+    };
+
+    std::vector<std::string> forward(kSeeds);
+    for (uint64_t seed = 0; seed < kSeeds; ++seed)
+        forward[seed] = render(seed);
+
+    std::vector<std::string> reverse(kSeeds);
+    for (uint64_t seed = kSeeds; seed-- > 0;)
+        reverse[seed] = render(seed);
+
+    std::vector<std::string> threaded(kSeeds);
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&threaded, &render, t] {
+            for (uint64_t seed = t; seed < kSeeds; seed += kThreads)
+                threaded[seed] = render(seed);
+        });
+    }
+    for (auto& worker : workers)
+        worker.join();
+
+    for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+        EXPECT_EQ(forward[seed], reverse[seed]) << "seed " << seed;
+        EXPECT_EQ(forward[seed], threaded[seed]) << "seed " << seed;
     }
 }
 

@@ -433,6 +433,8 @@ TEST(ObsInertness, TelemetryOnOffIdentityAcrossModesAndShards)
     // The campaigns recorded real metrics while staying inert.
     const auto snapshot = obs::metricsSnapshot();
     EXPECT_GT(snapshot.counters.at("campaign.iterations"), 0u);
+    EXPECT_GT(snapshot.counters.at("gen.solver_queries"), 0u);
+    EXPECT_GT(snapshot.counters.at("gen.rejected_insertions"), 0u);
     EXPECT_GT(snapshot.histograms.count("phase.gen"), 0u);
     EXPECT_GT(snapshot.histograms.count("phase.exec:OrtLite"), 0u);
     EXPECT_TRUE(isValidJson(snapshot.renderJson()));

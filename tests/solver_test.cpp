@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "solver/solver.h"
 #include "support/rng.h"
 
@@ -184,6 +185,48 @@ TEST(SolverFactory, AutoPrefersZ3WhenAvailable)
         EXPECT_EQ(s->name(), "z3");
     else
         EXPECT_EQ(s->name(), "native");
+}
+
+TEST(Z3Budget, ExhaustedQueryIsRejectedIdenticallyAndSolverStaysUsable)
+{
+    if (!haveZ3())
+        GTEST_SKIP() << "built without z3";
+    // Pigeonhole: 11 values in [1, 10], pairwise distinct. Unsat, but
+    // the arithmetic core cannot refute it before the per-query
+    // resource limit runs out, so each check ends as z3 "unknown".
+    SymbolTable st;
+    std::vector<symbolic::ExprRef> holes;
+    for (int i = 0; i < 11; ++i)
+        holes.push_back(st.fresh("p"));
+    std::vector<symbolic::Pred> pigeonhole;
+    for (size_t i = 0; i < holes.size(); ++i) {
+        pigeonhole.push_back(symbolic::ge(holes[i], 1));
+        pigeonhole.push_back(symbolic::le(holes[i], 10));
+        for (size_t j = i + 1; j < holes.size(); ++j)
+            pigeonhole.push_back(symbolic::ne(holes[i], holes[j]));
+    }
+
+    obs::metricsReset();
+    obs::setMetricsEnabled(true);
+    auto s = makeSolver(SolverKind::kZ3, 1234);
+    ASSERT_TRUE(s->tryAdd({symbolic::ge(holes[0], 3)}));
+    // The budget is counted in deterministic resource units, not wall
+    // time: the verdict is the same on a repeat.
+    EXPECT_FALSE(s->tryAdd(pigeonhole));
+    EXPECT_FALSE(s->tryAdd(pigeonhole));
+    const auto unknowns = obs::metricsSnapshot().counters["solver.unknown"];
+    obs::setMetricsEnabled(false);
+    obs::metricsReset();
+    EXPECT_EQ(unknowns, 2u);
+
+    // Both rejections rolled back; the solver keeps answering.
+    EXPECT_EQ(s->numCommitted(), 1u);
+    EXPECT_TRUE(s->check());
+    ASSERT_TRUE(s->tryAdd({symbolic::le(holes[0], 4)}));
+    const auto m = s->model();
+    ASSERT_TRUE(m.has_value());
+    EXPECT_GE(m->get(holes[0]->varId()), 3);
+    EXPECT_LE(m->get(holes[0]->varId()), 4);
 }
 
 } // namespace
