@@ -4,10 +4,10 @@
  *
  * Part 1 (throughput): runs the same NNSmith-vs-ONNXRuntime campaign
  * at --batch 1, 4 and 16 and reports fuzz cases per wall-clock second.
- * Batching amortizes graph generation across lanes and runs the
- * reference through the batched executor (exec/batched.h: one topo
- * walk, SIMD kernel sweeps), so throughput must rise with the batch
- * size; the bench gates on >= 1.5x cases/sec at batch 16 vs batch 1.
+ * Batching amortizes graph generation and value search across lanes
+ * and runs the reference through the batched executor (exec/batched.h:
+ * one topo walk, SIMD kernel sweeps), so throughput must rise with the
+ * batch size; the bench gates on >= 1.5x cases/sec at batch 16 vs batch 1.
  *
  * Part 2 (identity): the batched executor's contract is that lane l of
  * a batch is bit-identical to running the lane as its own sequential
@@ -55,12 +55,6 @@ campaignFor(size_t batch, bool sweep, int shards, fuzz::WorkerMode mode,
     config.masterSeed = options.seed;
     config.fuzzerFactory = [batch, sweep](uint64_t seed) {
         fuzz::NNSmithFuzzer::Options fuzzer_options;
-        fuzzer_options.generator.targetOpNodes = 10;
-        // The gradient value search runs under a *wall-clock* budget
-        // (autodiff/grad_search.h), so its leaf values depend on
-        // machine load, not just the seed. Both the throughput numbers
-        // and the byte-identity matrix need the seed-pure path.
-        fuzzer_options.runValueSearch = false;
         fuzzer_options.batch = batch;
         fuzzer_options.batchSweep = sweep;
         return std::make_unique<fuzz::NNSmithFuzzer>(fuzzer_options,

@@ -58,11 +58,9 @@ graphCampaign(int shards, uint64_t seed, size_t iters,
     config.workerMode = mode;
     config.masterSeed = seed;
     config.fuzzerFactory = [](uint64_t iteration_seed) {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 10; // §5.1 default size
-        options.runValueSearch = false;       // oracle quality unaffected
-        return std::make_unique<fuzz::NNSmithFuzzer>(options,
-                                                     iteration_seed);
+        // The paper's §5.1 configuration, value search included.
+        return std::make_unique<fuzz::NNSmithFuzzer>(
+            fuzz::NNSmithFuzzer::Options(), iteration_seed);
     };
     config.backendFactory = [] { return difftest::makeAllBackends(); };
     return config;

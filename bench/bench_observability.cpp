@@ -60,14 +60,8 @@ campaignFor(int shards, fuzz::WorkerMode mode,
     config.workerMode = mode;
     config.masterSeed = options.seed;
     config.fuzzerFactory = [](uint64_t seed) {
-        fuzz::NNSmithFuzzer::Options fuzzer_options;
-        fuzzer_options.generator.targetOpNodes = 10;
-        // Byte-identity needs the seed-pure configuration: the value
-        // search runs under a wall-clock budget (autodiff/grad_search.h),
-        // so its leaf values depend on machine load.
-        fuzzer_options.runValueSearch = false;
-        return std::make_unique<fuzz::NNSmithFuzzer>(fuzzer_options,
-                                                     seed);
+        return std::make_unique<fuzz::NNSmithFuzzer>(
+            fuzz::NNSmithFuzzer::Options(), seed);
     };
     config.backendFactory = [] {
         std::vector<std::unique_ptr<backends::Backend>> owned;

@@ -102,7 +102,6 @@ campaignItersPerSec(uint64_t seed, size_t iters)
         "Sigmoid",  "Tanh",      "Abs",       "Neg",       "Clip",
         "Softmax",  "Where",     "Cast",      "ReduceSum", "ReduceMean",
         "ReduceMax", "ReduceMin", "ReduceProd", "ArgMax",  "ArgMin"};
-    options.search.timeBudgetMs = 1e12;
     options.search.maxIterations = 32;
     fuzz::NNSmithFuzzer fuzzer(options, seed);
 

@@ -3,7 +3,10 @@
  * Reproduces Figure 11: effectiveness of gradient-based value search.
  * Three methods (Sampling / Gradient / Gradient+ProxyDeriv) on three
  * model-size groups (10/20/30 nodes, each containing at least one
- * vulnerable operator), swept over per-model time budgets i*8ms.
+ * vulnerable operator), swept over per-model time budgets i*8ms. The
+ * budgets are virtual (autodiff/grad_search.h: each iteration charges
+ * a fixed cost per op node), so the success table is a pure function
+ * of --seed and --iters.
  * Expected shape: success rate ordering Proxy >= Gradient > Sampling,
  * with the gap growing with model size; plus the §3.3 headline
  * statistics (random-init NaN/Inf rate, ~98% success, search time a
@@ -88,7 +91,8 @@ main(int argc, char** argv)
                     gen_ms);
     }
 
-    std::printf("\n-- success rate vs avg search time --\n");
+    std::printf("\n-- success rate vs virtual budget "
+                "(avg virtual ms spent) --\n");
     std::printf("%-26s %6s %10s %12s %10s\n", "method", "nodes",
                 "budget(ms)", "success", "avg ms");
     const SearchMethod methods[] = {SearchMethod::kGradientProxy,

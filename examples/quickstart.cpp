@@ -46,10 +46,9 @@ main(int argc, char** argv)
 
     // 2. Gradient-guided value search (Algorithm 3).
     Rng rng(seed);
-    autodiff::SearchConfig search_config;
-    search_config.timeBudgetMs = 64.0;
-    const auto search = autodiff::search(model->graph, rng, search_config);
-    std::printf("\nvalue search: %s after %d iteration(s), %.2f ms\n",
+    const auto search = autodiff::search(model->graph, rng);
+    std::printf("\nvalue search: %s after %d iteration(s), %.2f virtual "
+                "ms\n",
                 search.success ? "numerically valid inputs found"
                                : "gave up (using random values)",
                 search.iterations, search.elapsedMs);

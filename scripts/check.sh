@@ -56,6 +56,19 @@ echo "== Tzer smoke: serial coverage-guided campaign with --minimize =="
 # the merge; a repro that fails to decode aborts the run.
 ./build/bench/fig8_tzer_venn --iters 60 --minimize
 
+echo "== fig11 determinism probe: virtual search budgets are seed-pure =="
+# The value search charges a virtual cost per iteration instead of
+# reading a clock (autodiff/grad_search.h), so two runs must print the
+# same Figure 11 success-rate table, byte for byte.
+fig11_table() {
+    ./build/bench/fig11_gradient_search --iters 288 |
+        sed -n '/success rate vs/,$p'
+}
+if [[ "$(fig11_table)" != "$(fig11_table)" ]]; then
+    echo "check.sh: fig11's success-rate table differs between two runs"
+    exit 1
+fi
+
 echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
 # Exits nonzero unless every backend's sequence bins are nonempty, the
 # three-way Venn center is nonempty, and all shard counts merge

@@ -1,6 +1,5 @@
 #include "autodiff/grad_search.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "support/logging.h"
@@ -11,14 +10,6 @@ using graph::NodeKind;
 using tensor::DType;
 
 namespace {
-
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Replace NaN/Inf entries of leaf tensors with fresh random values
  *  (Algorithm 3, line 13). */
@@ -66,7 +57,7 @@ SearchResult
 search(const graph::Graph& graph, Rng& rng, const SearchConfig& config)
 {
     NNSMITH_ASSERT(graph.isConcrete(), "search needs a concrete graph");
-    const double start = nowMs();
+    const double charge = kSearchMsPerOpNodeIteration * graph.numOpNodes();
     SearchResult result;
 
     const bool use_gradient = config.method != SearchMethod::kSampling;
@@ -80,7 +71,7 @@ search(const graph::Graph& graph, Rng& rng, const SearchConfig& config)
     int last_bad_node = -1;
 
     while (result.iterations < config.maxIterations &&
-           (nowMs() - start) < config.timeBudgetMs) {
+           result.iterations * charge < config.timeBudgetMs) {
         ++result.iterations;
         const auto exec_result = exec::execute(graph, leaves);
         if (exec_result.numericallyValid()) {
@@ -133,7 +124,7 @@ search(const graph::Graph& graph, Rng& rng, const SearchConfig& config)
     }
 
     ops::setProxyDerivativesEnabled(previous_proxy);
-    result.elapsedMs = nowMs() - start;
+    result.elapsedMs = result.iterations * charge;
     return result;
 }
 

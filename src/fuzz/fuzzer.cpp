@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/logging.h"
 
@@ -133,6 +134,10 @@ NNSmithFuzzer::iterate(const std::vector<backends::Backend*>& backend_list)
     if (options_.runValueSearch) {
         const auto search =
             autodiff::search(model->graph, rng_, options_.search);
+        obs::histObserve("search.iterations",
+                         static_cast<uint64_t>(search.iterations));
+        obs::counterAdd(search.success ? "search.success"
+                                       : "search.fallback");
         leaves = search.success
                      ? search.values
                      : exec::randomLeaves(model->graph, rng_,

@@ -5,6 +5,7 @@
 
 #include "gen/binning.h"
 #include "obs/metrics.h"
+#include "ops/nn_ops.h"
 #include "support/logging.h"
 
 namespace nnsmith::gen {
@@ -46,6 +47,29 @@ dimBoundsFor(const TensorType& type, const GeneratorConfig& config)
     }
     return preds;
 }
+
+namespace {
+
+/**
+ * Caps a pooling op's attributes (kh, kw, stride, pad) at the rank-4
+ * dim cap. A conv kernel's extents are tensor dims, which dimBoundsFor
+ * caps, and its pad is bounded by them; a pool window's extents are
+ * free attributes, bounded only by the padded input, so without this
+ * cap pad and kh grow together without limit.
+ */
+std::vector<Pred>
+poolBoundsFor(const ops::OpBase& op, const GeneratorConfig& config)
+{
+    std::vector<Pred> preds;
+    if (dynamic_cast<const ops::Pool2dOp*>(&op) == nullptr)
+        return preds;
+    const int64_t cap = config.dimCapForRank(4);
+    for (const auto& attr : op.attrs())
+        preds.push_back(symbolic::le(attr.expr, cap));
+    return preds;
+}
+
+} // namespace
 
 std::vector<std::string>
 GeneratedModel::instanceKeys() const
@@ -214,6 +238,8 @@ GraphGenerator::forwardInsert(Session& session, const OpMeta& meta)
 
         op->setDTypes(combo);
         auto preds = op->requirements(in_types);
+        const auto caps = poolBoundsFor(*op, config_);
+        preds.insert(preds.end(), caps.begin(), caps.end());
         preds.insert(preds.end(), pending.begin(), pending.end());
         const auto out_types = op->typeTransfer(in_types);
         for (const auto& out : out_types) {
@@ -273,6 +299,8 @@ GraphGenerator::backwardInsert(Session& session, const OpMeta& meta)
             continue;
 
         auto preds = op->requirements(*in_types);
+        const auto caps = poolBoundsFor(*op, config_);
+        preds.insert(preds.end(), caps.begin(), caps.end());
         // Algorithm 1, line 17: the new op must reproduce the
         // placeholder's type exactly.
         const auto equal = ops::shapesEqual(out_types[0], target_type);

@@ -70,7 +70,8 @@ struct GeneratorConfig {
      */
     int64_t dimFloor = 1;
 
-    /** Per-rank dimension caps keeping kernels tractable. */
+    /** Per-rank dimension caps keeping kernels tractable. The rank-4
+     *  cap also bounds every pooling attribute (kh, kw, stride, pad). */
     int64_t dimCapForRank(int rank) const;
 };
 

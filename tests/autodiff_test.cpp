@@ -250,6 +250,39 @@ TEST(GradSearch, SamplingAloneCanSucceedInValidRange)
     EXPECT_EQ(result.iterations, 1);
 }
 
+TEST(GradSearch, BudgetIsVirtualAndDeterministic)
+{
+    // Sampling never validates sqrt over [-9, -1), so only the budget
+    // stops the search: 2 ms / (1/256 ms per op node x 1 op node) =
+    // 512 iterations on every run, whatever the machine's load.
+    const Graph g = unaryGraph(UnaryKind::kSqrt);
+    SearchConfig config;
+    config.method = SearchMethod::kSampling;
+    config.initLo = -9.0;
+    config.initHi = -1.0;
+    config.timeBudgetMs = 2.0;
+    config.maxIterations = 1 << 20;
+    const auto run = [&] {
+        Rng rng(11);
+        const auto result = search(g, rng, config);
+        EXPECT_FALSE(result.success);
+        EXPECT_EQ(result.iterations, 512);
+        EXPECT_EQ(result.elapsedMs, config.timeBudgetMs);
+        // A failed search leaves the caller to draw fallback leaves
+        // from the same RNG, so those must match run to run too.
+        return exec::randomLeaves(g, rng, config.initLo, config.initHi);
+    };
+    const auto first = run();
+    const auto second = run();
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(second.size(), 1u);
+    const auto& a = first.begin()->second;
+    const auto& b = second.begin()->second;
+    ASSERT_EQ(a.numel(), b.numel());
+    for (int64_t i = 0; i < a.numel(); ++i)
+        EXPECT_EQ(a.scalarAt(i), b.scalarAt(i)) << "element " << i;
+}
+
 TEST(GradSearch, GradientBeatsSamplingOnHardModel)
 {
     // Generated models with >= 1 vulnerable op; count successes under

@@ -9,6 +9,7 @@
 
 #include "autodiff/grad_search.h"
 #include "backends/backend.h"
+#include "campaign_fixture.h"
 #include "difftest/oracle.h"
 #include "gen/generator.h"
 #include "onnx/exporter.h"
@@ -95,10 +96,8 @@ onesLeaves(const Graph& g)
 TEST(Backends, CleanModelsPassEverywhere)
 {
     AllDefectsOff off;
-    auto backends = difftest::makeAllBackends();
-    std::vector<Backend*> raw;
-    for (auto& b : backends)
-        raw.push_back(b.get());
+    const auto backends = difftest::makeAllBackends();
+    const auto raw = test::borrow(backends);
     int tested = 0;
     for (uint64_t seed = 0; seed < 15 && tested < 6; ++seed) {
         gen::GeneratorConfig config;
@@ -127,10 +126,8 @@ TEST(Backends, CleanModelsPassEverywhere)
 TEST(Backends, MatMulScaleDefectCrashesOrtLiteOnly)
 {
     const Graph g = matmulScalePattern();
-    auto backends = difftest::makeAllBackends();
-    std::vector<Backend*> raw;
-    for (auto& b : backends)
-        raw.push_back(b.get());
+    const auto backends = difftest::makeAllBackends();
+    const auto raw = test::borrow(backends);
     const auto result = difftest::runCase(g, onesLeaves(g), raw);
     ASSERT_EQ(result.verdicts.size(), 3u);
     EXPECT_EQ(result.verdicts[0].verdict, Verdict::kCrash);

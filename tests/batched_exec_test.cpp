@@ -12,6 +12,7 @@
 #include <filesystem>
 
 #include "baselines/concrete_builder.h"
+#include "campaign_fixture.h"
 #include "corpus/corpus.h"
 #include "corpus/parser.h"
 #include "difftest/oracle.h"
@@ -185,10 +186,8 @@ TEST(BatchedExec, NaNIsTrackedPerLane)
 
 TEST(BatchedExec, RunCaseBatchMatchesRunCase)
 {
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& backend : owned)
-        raw.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = test::borrow(owned);
 
     Rng rng(23);
     int checked = 0;
@@ -238,15 +237,12 @@ TEST(BatchedExec, RunCaseBatchMatchesRunCase)
  *  iteration with lanes run sequentially. */
 TEST(BatchedExec, FuzzerSweepOutcomeMatchesSequentialLanes)
 {
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& backend : owned)
-        raw.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = test::borrow(owned);
 
     const auto outcomes = [&raw](bool sweep) {
         fuzz::NNSmithFuzzer::Options options;
         options.generator.targetOpNodes = 8;
-        options.runValueSearch = false; // wall-clock-budgeted → not seed-pure
         options.batch = 4;
         options.batchSweep = sweep;
         fuzz::NNSmithFuzzer fuzzer(options, 99);
@@ -283,15 +279,12 @@ TEST(BatchedExec, FuzzerSweepOutcomeMatchesSequentialLanes)
  *  property the sharded campaign's byte-identity rests on. */
 TEST(BatchedExec, BatchedFuzzerIsSeedDeterministic)
 {
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& backend : owned)
-        raw.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = test::borrow(owned);
 
     const auto outcomes = [&raw]() {
         fuzz::NNSmithFuzzer::Options options;
         options.generator.targetOpNodes = 8;
-        options.runValueSearch = false;
         options.batch = 4;
         fuzz::NNSmithFuzzer fuzzer(options, 321);
         std::vector<fuzz::IterationOutcome> all;

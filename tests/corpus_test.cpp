@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "campaign_fixture.h"
 #include "corpus/parser.h"
 #include "corpus/replay.h"
 #include "difftest/oracle.h"
@@ -22,32 +23,9 @@ namespace {
 
 using corpus::ParseError;
 using corpus::ReplayStatus;
-
-std::filesystem::path
-freshDir(const char* name)
-{
-    const auto dir = std::filesystem::path(testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
-std::string
-readFile(const std::filesystem::path& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-std::vector<backends::Backend*>
-borrow(const std::vector<std::unique_ptr<backends::Backend>>& owned)
-{
-    std::vector<backends::Backend*> list;
-    for (const auto& backend : owned)
-        list.push_back(backend.get());
-    return list;
-}
+using test::borrow;
+using test::freshDir;
+using test::readFile;
 
 /** The acceptance-campaign shape from bench_reduce/bench_corpus. */
 fuzz::ParallelCampaignConfig
@@ -62,14 +40,8 @@ graphCampaign(uint64_t seed, size_t iters, const std::string& report_dir)
     config.campaign.reportDir = report_dir;
     config.shards = 1;
     config.masterSeed = seed;
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 10;
-        options.runValueSearch = false;
-        return std::make_unique<fuzz::NNSmithFuzzer>(options,
-                                                     iteration_seed);
-    };
-    config.backendFactory = [] { return difftest::makeAllBackends(); };
+    config.fuzzerFactory = test::paperFuzzer;
+    config.backendFactory = difftest::makeAllBackends;
     return config;
 }
 

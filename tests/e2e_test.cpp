@@ -9,6 +9,7 @@
 
 #include "autodiff/grad_search.h"
 #include "backends/backend.h"
+#include "campaign_fixture.h"
 #include "difftest/oracle.h"
 #include "gen/generator.h"
 #include "graph/validate.h"
@@ -69,10 +70,8 @@ TEST_P(Pipeline, CleanBackendsAgreeWithReference)
         search.success ? search.values
                        : exec::randomLeaves(model->graph, rng);
 
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& b : owned)
-        raw.push_back(b.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = test::borrow(owned);
     const auto result = difftest::runCase(model->graph, leaves, raw);
     ASSERT_TRUE(result.exportOk);
     for (const auto& verdict : result.verdicts) {

@@ -4,22 +4,14 @@
 #include "baselines/graphfuzzer.h"
 #include "baselines/lemon.h"
 #include "baselines/tzer.h"
+#include "campaign_fixture.h"
 #include "fuzz/campaign.h"
 #include "graph/validate.h"
 
 namespace nnsmith::fuzz {
 namespace {
 
-using backends::Backend;
-
-std::vector<Backend*>
-rawBackends(const std::vector<std::unique_ptr<Backend>>& owned)
-{
-    std::vector<Backend*> raw;
-    for (const auto& b : owned)
-        raw.push_back(b.get());
-    return raw;
-}
+using test::borrow;
 
 TEST(NNSmithFuzzerTest, IteratesAndProducesCases)
 {
@@ -30,7 +22,7 @@ TEST(NNSmithFuzzerTest, IteratesAndProducesCases)
     NNSmithFuzzer fuzzer(options, 42);
     int produced = 0;
     for (int i = 0; i < 10; ++i) {
-        const auto outcome = fuzzer.iterate(rawBackends(owned));
+        const auto outcome = fuzzer.iterate(borrow(owned));
         produced += outcome.produced;
         EXPECT_GT(outcome.cost, 0);
     }
@@ -47,7 +39,7 @@ TEST(NNSmithFuzzerTest, FindsSeededDefectsQuickly)
     NNSmithFuzzer fuzzer(options, 7);
     std::set<std::string> keys;
     for (int i = 0; i < 60; ++i) {
-        for (const auto& bug : fuzzer.iterate(rawBackends(owned)).bugs)
+        for (const auto& bug : fuzzer.iterate(borrow(owned)).bugs)
             keys.insert(bug.dedupKey);
     }
     EXPECT_GE(keys.size(), 3u) << "NNSmith should trip several seeded "
@@ -67,7 +59,7 @@ TEST(Campaign, RespectsVirtualBudgetAndSamples)
     config.coverageComponent = "ortlite";
     config.sampleEveryMinutes = 1;
     const auto result =
-        runCampaign(fuzzer, rawBackends(owned), config);
+        runCampaign(fuzzer, borrow(owned), config);
     EXPECT_GT(result.iterations, 0u);
     EXPECT_GE(result.series.size(), 2u);
     EXPECT_GE(result.virtualTime, config.virtualBudget);
@@ -89,7 +81,7 @@ TEST(Campaign, CoverageComponentFilterIsolatesBackends)
     config.virtualBudget = 30ll * 1000;
     config.maxIterations = 50;
     config.coverageComponent = "tvmlite";
-    const auto result = runCampaign(fuzzer, rawBackends(owned), config);
+    const auto result = runCampaign(fuzzer, borrow(owned), config);
     // All recorded branches belong to the tvmlite component: pass-only
     // is a subset of all.
     EXPECT_LE(result.coverPass.count(), result.coverAll.count());
@@ -100,7 +92,7 @@ TEST(Lemon, OnlyShapePreservingMutationsAndSlow)
 {
     auto owned = difftest::makeAllBackends();
     baselines::LemonFuzzer lemon(3);
-    const auto outcome = lemon.iterate(rawBackends(owned));
+    const auto outcome = lemon.iterate(borrow(owned));
     EXPECT_TRUE(outcome.produced);
     EXPECT_GT(outcome.cost, 5000) << "LEMON iterations must be costly";
 }
@@ -112,7 +104,7 @@ TEST(Lemon, MutantsAreValidGraphs)
     auto owned = difftest::makeAllBackends();
     baselines::LemonFuzzer lemon(11);
     for (int i = 0; i < 5; ++i)
-        EXPECT_NO_THROW(lemon.iterate(rawBackends(owned)));
+        EXPECT_NO_THROW(lemon.iterate(borrow(owned)));
 }
 
 TEST(GraphFuzzerLite, GeneratesRepairedGraphs)
@@ -123,7 +115,7 @@ TEST(GraphFuzzerLite, GeneratesRepairedGraphs)
     baselines::GraphFuzzerLite gf(options, 9);
     int produced = 0;
     for (int i = 0; i < 8; ++i) {
-        const auto outcome = gf.iterate(rawBackends(owned));
+        const auto outcome = gf.iterate(borrow(owned));
         produced += outcome.produced;
         EXPECT_FALSE(outcome.instanceKeys.empty());
     }

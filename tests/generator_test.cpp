@@ -11,6 +11,7 @@
 #include "gen/binning.h"
 #include "gen/generator.h"
 #include "graph/validate.h"
+#include "ops/nn_ops.h"
 
 namespace nnsmith::gen {
 namespace {
@@ -194,6 +195,53 @@ TEST(Generator, DimCapsRespected)
             }
         }
     }
+}
+
+/** Expects every pooling attribute of @p model to be at most @p cap;
+ *  returns the number of pooling nodes checked. */
+int
+expectPoolAttrsCapped(const GeneratedModel& model, int64_t cap,
+                      uint64_t seed)
+{
+    int pools = 0;
+    for (const auto& node : model.graph.nodes()) {
+        if (node.dead ||
+            dynamic_cast<const ops::Pool2dOp*>(node.op.get()) == nullptr)
+            continue;
+        ++pools;
+        for (const auto& attr : node.op->attrs())
+            EXPECT_LE(attr.value, cap) << "seed " << seed << ": "
+                                       << node.op->name() << " "
+                                       << attr.name;
+    }
+    return pools;
+}
+
+TEST(Generator, NativeSeed1003PoolWindowIsCapped)
+{
+    // The native solver once emitted MaxPool2d{kh=997830, kw=997830,
+    // stride=187550, pad=498915} here: running it walks ~10^12 window
+    // elements, so the check reads the attributes and never executes.
+    GeneratorConfig config;
+    config.solverKind = solver::SolverKind::kNative;
+    const auto model = GraphGenerator(config, 1003).generate();
+    ASSERT_TRUE(model.has_value());
+    EXPECT_GT(expectPoolAttrsCapped(*model, config.dimCapForRank(4), 1003),
+              0);
+}
+
+TEST(Generator, NativePoolAttributesStayWithinCap)
+{
+    GeneratorConfig config;
+    config.solverKind = solver::SolverKind::kNative;
+    int pools = 0;
+    for (uint64_t seed = 0; seed < 500; ++seed) {
+        const auto model = GraphGenerator(config, seed).generate();
+        if (model)
+            pools +=
+                expectPoolAttrsCapped(*model, config.dimCapForRank(4), seed);
+    }
+    EXPECT_GT(pools, 0);
 }
 
 TEST(Generator, InstanceKeysCoverEveryOpNode)

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "backends/graph_pass.h"
+#include "campaign_fixture.h"
 #include "corpus/corpus.h"
 #include "corpus/parser.h"
 #include "difftest/oracle.h"
@@ -189,21 +190,13 @@ TEST(Mutator, CorpusGuidedFuzzerIsSeedDeterministic)
 {
     auto pool = std::make_shared<const fuzz::MutationPool>(
         fuzz::MutationPool::fromCorpusDir(goldenDir()));
-    auto make_inner = [] {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 5;
-        options.runValueSearch = false;
-        return std::make_unique<fuzz::NNSmithFuzzer>(options, 11);
-    };
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> backend_list;
-    for (const auto& backend : owned)
-        backend_list.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto backend_list = test::borrow(owned);
 
     fuzz::CorpusGuidedFuzzer::Options options;
     options.mutationRate = 1.0; // force every iteration to mutate
-    fuzz::CorpusGuidedFuzzer a(make_inner(), pool, 13, options);
-    fuzz::CorpusGuidedFuzzer b(make_inner(), pool, 13, options);
+    fuzz::CorpusGuidedFuzzer a(test::paperFuzzer(11), pool, 13, options);
+    fuzz::CorpusGuidedFuzzer b(test::paperFuzzer(11), pool, 13, options);
     EXPECT_EQ(a.name(), "NNSmith+corpus");
     for (int i = 0; i < 6; ++i) {
         const auto oa = a.iterate(backend_list);

@@ -1,14 +1,15 @@
 /** Tests for the defect-reduction subsystem (reduce/): the ddmin core,
  *  GraphReducer and PassSequenceReducer invariants (minimized repro
  *  still validates and fires the same fingerprint, determinism,
- *  idempotence), fingerprint-keyed dedup, shard invariance of
- *  campaigns with minimization enabled, and the repro report writer. */
+ *  idempotence), fingerprint-keyed dedup, campaigns with
+ *  minimization enabled, and the repro report writer. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 
 #include "backends/backend.h"
+#include "campaign_fixture.h"
 #include "fuzz/parallel_campaign.h"
 #include "fuzz/pass_fuzzer.h"
 #include "graph/validate.h"
@@ -22,7 +23,6 @@ namespace {
 using fuzz::BugRecord;
 using fuzz::CampaignResult;
 using fuzz::IterationOutcome;
-using fuzz::ParallelCampaignConfig;
 
 // ---- ddmin core -----------------------------------------------------------
 
@@ -137,15 +137,11 @@ findFlaggedGraphCase(uint64_t seed_base)
 {
     Flagged flagged;
     flagged.owned = difftest::makeAllBackends();
-    for (auto& backend : flagged.owned)
-        flagged.backends.push_back(backend.get());
+    flagged.backends = test::borrow(flagged.owned);
 
-    fuzz::NNSmithFuzzer::Options options;
-    options.generator.targetOpNodes = 10;
-    options.runValueSearch = false;
     for (uint64_t seed = seed_base; seed < seed_base + 200; ++seed) {
-        fuzz::NNSmithFuzzer fuzzer(options, seed);
-        IterationOutcome outcome = fuzzer.iterate(flagged.backends);
+        IterationOutcome outcome =
+            test::paperFuzzer(seed)->iterate(flagged.backends);
         if (outcome.bugs.empty())
             continue;
         flagged.bug = outcome.bugs.front();
@@ -265,49 +261,12 @@ TEST(PassSequenceReducer, MinimalFailingSubsequence)
 
 // ---- campaign integration -------------------------------------------------
 
-ParallelCampaignConfig
-minimizingCampaign(int shards, uint64_t master_seed)
-{
-    ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 60ll * 60 * 1000;
-    config.campaign.maxIterations = 48;
-    config.campaign.coverageComponent = "ortlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.campaign.minimize = true;
-    config.shards = shards;
-    config.masterSeed = master_seed;
-    config.fuzzerFactory = [](uint64_t seed) {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 5;
-        options.runValueSearch = false;
-        return std::make_unique<fuzz::NNSmithFuzzer>(options, seed);
-    };
-    config.backendFactory = [] {
-        std::vector<std::unique_ptr<backends::Backend>> owned;
-        owned.push_back(backends::makeOrtLite());
-        return owned;
-    };
-    return config;
-}
-
-TEST(MinimizingCampaign, ShardCountInvariantWithMinimizeOn)
-{
-    const auto one = fuzz::runParallelCampaign(minimizingCampaign(1, 41));
-    const auto two = fuzz::runParallelCampaign(minimizingCampaign(2, 41));
-    const auto four = fuzz::runParallelCampaign(minimizingCampaign(4, 41));
-    EXPECT_GT(one.iterations, 0u);
-    const std::string rendered = fuzz::renderCampaignResult(one);
-    EXPECT_EQ(rendered, fuzz::renderCampaignResult(two));
-    EXPECT_EQ(rendered, fuzz::renderCampaignResult(four));
-}
-
 TEST(MinimizingCampaign, MinimizeDoesNotChangeCoverageOrIterations)
 {
-    auto off = minimizingCampaign(2, 43);
-    off.campaign.minimize = false;
-    const auto baseline = fuzz::runParallelCampaign(off);
-    const auto minimized =
-        fuzz::runParallelCampaign(minimizingCampaign(2, 43));
+    auto config = test::paperCampaign(2, 43);
+    const auto baseline = fuzz::runParallelCampaign(config);
+    config.campaign.minimize = true;
+    const auto minimized = fuzz::runParallelCampaign(config);
     // Reduction re-runs the oracle outside coverage collection, so
     // everything except the bug map (rekeying + repro swap) matches.
     EXPECT_EQ(baseline.iterations, minimized.iterations);
@@ -321,10 +280,11 @@ TEST(MinimizingCampaign, MinimizeDoesNotChangeCoverageOrIterations)
 
 TEST(MinimizingCampaign, FlaggedBugsAreMinimizedAndRefire)
 {
-    const auto result =
-        fuzz::runParallelCampaign(minimizingCampaign(2, 41));
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> ort = {owned[0].get()};
+    auto config = test::paperCampaign(2, 41);
+    config.campaign.minimize = true;
+    const auto result = fuzz::runParallelCampaign(config);
+    const auto owned = difftest::makeAllBackends();
+    const auto all = test::borrow(owned);
     size_t with_repro = 0;
     for (const auto& [key, bug] : result.bugs) {
         if (bug.graphRepro == nullptr)
@@ -333,7 +293,7 @@ TEST(MinimizingCampaign, FlaggedBugsAreMinimizedAndRefire)
         EXPECT_TRUE(bug.minimized) << key;
         EXPECT_LE(bug.minimizedSize, bug.originalSize) << key;
         EXPECT_TRUE(graph::validate(bug.graphRepro->graph).ok()) << key;
-        EXPECT_TRUE(reduce::reproStillFires(bug, ort)) << key;
+        EXPECT_TRUE(reduce::reproStillFires(bug, all)) << key;
     }
     EXPECT_GT(with_repro, 0u);
 }
@@ -346,7 +306,8 @@ TEST(ReproReport, WritesOneFilePerBugPlusIndex)
         std::filesystem::path(testing::TempDir()) / "nnsmith-repro-test";
     std::filesystem::remove_all(dir);
 
-    auto config = minimizingCampaign(2, 41);
+    auto config = test::paperCampaign(2, 41);
+    config.campaign.minimize = true;
     config.campaign.reportDir = dir.string();
     const auto result = fuzz::runParallelCampaign(config);
 

@@ -13,6 +13,7 @@
 
 #include "autodiff/losses.h"
 #include "baselines/concrete_builder.h"
+#include "campaign_fixture.h"
 #include "difftest/compare.h"
 #include "difftest/oracle.h"
 #include "exec/interpreter.h"
@@ -176,10 +177,8 @@ TEST(TypedKernels, OracleSkipsComparisonOnPoisonedReference)
     exec::LeafValues leaves;
     leaves.emplace(a, Tensor::fromVector<int32_t>({5}));
     leaves.emplace(b, Tensor::fromVector<int32_t>({0}));
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& backend : owned)
-        raw.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = test::borrow(owned);
     const auto result = difftest::runCase(graph, leaves, raw);
     ASSERT_TRUE(result.exportOk);
     EXPECT_FALSE(result.referenceValid);
@@ -338,10 +337,8 @@ TEST(TypedKernels, ComparisonDifftestOverI64EndToEnd)
     exec::LeafValues leaves;
     leaves.emplace(a, Tensor::fromVector<int64_t>({3, 1, 8}));
     leaves.emplace(b, Tensor::fromVector<int64_t>({2, 4, 8}));
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& backend : owned)
-        raw.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = test::borrow(owned);
     const auto result = difftest::runCase(graph, leaves, raw);
     ASSERT_TRUE(result.exportOk);
     EXPECT_TRUE(result.referenceValid);
