@@ -68,7 +68,8 @@ OpBase::executeBatched(
 }
 
 namespace {
-bool g_proxy_derivatives = true;
+// Per thread: concurrent searches in thread workers each set their own.
+thread_local bool g_proxy_derivatives = true;
 } // namespace
 
 double

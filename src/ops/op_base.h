@@ -198,6 +198,8 @@ class OpBase {
  * trend-signed alpha instead of 0, letting gradient search escape
  * plateaus (Floor/Ceil/Round/ReLU's negative side/...). Fig. 11's
  * "Gradient" vs "Gradient (Proxy Deriv.)" ablation toggles this.
+ * The setting is per thread, so concurrent searches never see each
+ * other's method.
  */
 double proxyAlpha();
 void setProxyDerivativesEnabled(bool enabled);

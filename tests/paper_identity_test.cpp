@@ -4,11 +4,16 @@
  *  over workers {thread, process} × shards {1, 2, 4}: at batch 1 with
  *  telemetry {off, on}, at batch 4, and with --minimize and
  *  --corpus-guided on. Each cell must render the same merged result
- *  as the matrix's first cell and write the same report tree. */
+ *  as the matrix's first cell and write the same report tree. The
+ *  telemetry-on cells must also write a well-formed trace and metrics
+ *  snapshot. */
 #include <gtest/gtest.h>
+
+#include <fstream>
 
 #include "../bench/bench_util.h"
 #include "campaign_fixture.h"
+#include "json_checker.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -24,6 +29,7 @@ TEST(PaperIdentity, TelemetryOnOffAcrossWorkersAndShards)
 {
     const auto trace_path = std::filesystem::path(testing::TempDir()) /
                             "nnsmith-paper-identity.jsonl";
+    std::filesystem::remove(trace_path);
     obs::metricsReset();
 
     const auto matrix = bench::runIdentityMatrix(
@@ -58,6 +64,23 @@ TEST(PaperIdentity, TelemetryOnOffAcrossWorkersAndShards)
     obs::setMetricsEnabled(false);
     obs::traceClose();
     obs::metricsReset();
+
+    // Every trace line, whether written by concurrent worker threads
+    // into the shared sink or appended by forked workers, is standalone
+    // valid JSON with the chrome-trace complete-span fields.
+    std::ifstream in(trace_path);
+    std::string line;
+    size_t lines = 0;
+    while (std::getline(in, line)) {
+        ++lines;
+        EXPECT_TRUE(test::isValidJson(line))
+            << "line " << lines << ": " << line;
+        EXPECT_NE(line.find("\"ph\":\"X\""), std::string::npos);
+        EXPECT_NE(line.find("\"ts\":"), std::string::npos);
+        EXPECT_NE(line.find("\"dur\":"), std::string::npos);
+    }
+    EXPECT_GT(lines, 0u);
+    in.close();
     std::filesystem::remove(trace_path);
 
     EXPECT_TRUE(matrix.identical());
@@ -69,6 +92,9 @@ TEST(PaperIdentity, TelemetryOnOffAcrossWorkersAndShards)
     EXPECT_GT(snapshot.counters.at("campaign.iterations"), 0u);
     EXPECT_GT(snapshot.counters.at("gen.solver_queries"), 0u);
     EXPECT_GT(snapshot.counters.at("gen.rejected_insertions"), 0u);
+    EXPECT_GT(snapshot.histograms.count("phase.gen"), 0u);
+    EXPECT_GT(snapshot.histograms.count("phase.exec:OrtLite"), 0u);
+    EXPECT_TRUE(test::isValidJson(snapshot.renderJson()));
     const auto& searches = snapshot.histograms.at("search.iterations");
     EXPECT_GT(snapshot.counters.at("search.success"), 0u);
     EXPECT_GT(snapshot.counters.at("search.fallback"), 0u);
