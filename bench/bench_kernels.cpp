@@ -229,16 +229,8 @@ int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 120;
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/120);
 
     const auto campaign = runCampaignScore(options.seed, options.iters);
     std::printf("campaign: %zu iters in %.3fs -> %.2f iters/sec "
@@ -253,9 +245,11 @@ main(int argc, char** argv)
     const double find_ns = registryFindNs();
     std::printf("registry find: %.1f ns/lookup\n", find_ns);
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

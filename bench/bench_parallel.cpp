@@ -61,16 +61,9 @@ int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 300; // speedup probe needs fewer than fig4's 600
+    // The speedup probe needs fewer iterations than fig4's 600.
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/300);
 
     const auto matrix = bench::runIdentityMatrix(
         /*report_base=*/"",
@@ -84,9 +77,11 @@ main(int argc, char** argv)
                 "shard counts: %s\n",
                 identical ? "yes" : "NO — BUG");
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

@@ -134,16 +134,9 @@ int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 300; // bin discovery saturates well before
+    // Bin discovery saturates well before 300 iterations.
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/300);
 
     // ---- 1. serial sequence-fuzzing throughput + bin growth ----------
     coverage::CoverageRegistry::instance().resetHits();
@@ -182,9 +175,11 @@ main(int argc, char** argv)
     // ---- 3. end-to-end campaign throughput ---------------------------
     const double iters_per_sec = campaignItersPerSec(options.seed, 120);
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

@@ -27,8 +27,9 @@
  *                   sharding stays byte-identical.
  *   --minimize      delta-debug every flagged case to a minimal repro
  *                   before dedup (reduce/reducer.h); dedup keys become
- *                   minimized fingerprints. Off by default so the
- *                   committed BENCH_*.json records stay comparable.
+ *                   minimized fingerprints. Off by default: it
+ *                   re-runs the oracle on every flagged case, which
+ *                   the coverage figures do not need.
  *   --report-dir D  write one minimized-repro report per deduped bug
  *                   into directory D (reduce/report.h)
  *   --corpus D      replay the regression corpus in directory D (a
@@ -112,7 +113,7 @@ namespace nnsmith::bench {
 /** Parsed common CLI options. */
 struct BenchOptions {
     uint64_t seed = 2023;
-    size_t iters = 600;
+    size_t iters = 600;     ///< --iters, or the driver's default
     int minutes = 240;
     int shards = 1;
     fuzz::WorkerMode workerMode = fuzz::WorkerMode::kThread;
@@ -136,9 +137,10 @@ struct BenchOptions {
  * turns the throw into a one-line error and exit(2).
  */
 inline BenchOptions
-parseArgsOrThrow(int argc, char** argv)
+parseArgsOrThrow(int argc, char** argv, size_t default_iters = 600)
 {
     BenchOptions options;
+    options.iters = default_iters;
     for (int i = 1; i < argc; ++i) {
         auto want = [&](const char* flag) {
             if (std::strcmp(argv[i], flag) != 0)
@@ -230,12 +232,14 @@ initTelemetry(const BenchOptions& options)
 }
 
 /** Driver-facing parse: strict flags, telemetry initialized, errors
- *  reported as one line on stderr + exit(2). */
+ *  reported as one line on stderr + exit(2). @p default_iters is the
+ *  driver's --iters when the flag is absent. */
 inline BenchOptions
-parseArgs(int argc, char** argv)
+parseArgs(int argc, char** argv, size_t default_iters = 600)
 {
     try {
-        const BenchOptions options = parseArgsOrThrow(argc, argv);
+        const BenchOptions options =
+            parseArgsOrThrow(argc, argv, default_iters);
         initTelemetry(options);
         return options;
     } catch (const FatalError& error) {

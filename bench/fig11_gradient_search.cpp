@@ -68,27 +68,39 @@ main(int argc, char** argv)
     std::printf("(%zu models per size group; paper uses 512)\n\n",
                 group_size);
 
+    // Generation is a pure function of the seed, so each size group is
+    // built once and shared by the preamble and every method's sweep.
+    struct Group {
+        int nodes;
+        double genMs;
+        std::vector<nnsmith::graph::Graph> graphs;
+    };
+    std::vector<Group> groups;
+    for (const int nodes : {10, 20, 30}) {
+        double gen_ms = 0.0;
+        auto graphs =
+            makeGroup(nodes, group_size, options.seed + nodes, &gen_ms);
+        groups.push_back({nodes, gen_ms, std::move(graphs)});
+    }
+
     // §3.3 preamble: NaN/Inf rate under random initialization.
     std::printf("-- random-init NaN/Inf rate (paper: 56.8%% at 20 nodes) "
                 "--\n");
-    for (int nodes : {10, 20, 30}) {
-        double gen_ms = 0.0;
-        const auto graphs =
-            makeGroup(nodes, group_size, options.seed + nodes, &gen_ms);
+    for (const auto& group : groups) {
         Rng rng(options.seed);
         size_t invalid = 0;
-        for (const auto& g : graphs) {
+        for (const auto& g : group.graphs) {
             const auto leaves = nnsmith::exec::randomLeaves(g, rng);
             invalid += !nnsmith::exec::execute(g, leaves)
                             .numericallyValid();
         }
         std::printf("  %2d nodes: %.1f%% invalid at random init "
                     "(gen %.1f ms/model)\n",
-                    nodes,
+                    group.nodes,
                     100.0 * static_cast<double>(invalid) /
                         static_cast<double>(std::max<size_t>(
-                            graphs.size(), 1)),
-                    gen_ms);
+                            group.graphs.size(), 1)),
+                    group.genMs);
     }
 
     std::printf("\n-- success rate vs virtual budget "
@@ -99,15 +111,12 @@ main(int argc, char** argv)
                                     SearchMethod::kGradient,
                                     SearchMethod::kSampling};
     for (const auto method : methods) {
-        for (int nodes : {10, 20, 30}) {
-            double gen_ms = 0.0;
-            const auto graphs = makeGroup(nodes, group_size,
-                                          options.seed + nodes, &gen_ms);
+        for (const auto& group : groups) {
             for (int budget : {8, 16, 32, 64}) {
                 Rng rng(options.seed + budget);
                 size_t success = 0;
                 double total_ms = 0.0;
-                for (const auto& g : graphs) {
+                for (const auto& g : group.graphs) {
                     SearchConfig config;
                     config.method = method;
                     config.timeBudgetMs = budget;
@@ -117,10 +126,10 @@ main(int argc, char** argv)
                     total_ms += result.elapsedMs;
                 }
                 const double n =
-                    static_cast<double>(std::max<size_t>(graphs.size(),
-                                                         1));
+                    static_cast<double>(std::max<size_t>(
+                        group.graphs.size(), 1));
                 std::printf("%-26s %6d %10d %11.1f%% %10.2f\n",
-                            searchMethodName(method).c_str(), nodes,
+                            searchMethodName(method).c_str(), group.nodes,
                             budget,
                             100.0 * static_cast<double>(success) / n,
                             total_ms / n);

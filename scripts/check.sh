@@ -36,25 +36,26 @@ cmake --build build -j "$JOBS"
 echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== minimization smoke: tiny --minimize campaign writes repro reports =="
-# The telemetry flags make this run the smoke source for the
-# trace/metrics validation below. (bench_observability cannot be the
-# source: it opens and closes the global trace per matrix cell.)
+echo "== Tzer smoke: serial coverage-guided campaign with --minimize =="
+# Tzer learns from the campaign loop's coverage feedback, and its
+# minimized TIR repros (no initial buffers) cross the wire format into
+# the merge; a repro that fails to decode aborts the run. --report-dir
+# must write repro reports, and the telemetry flags make this run the
+# source for the trace/metrics validation below (bench_util.h's atexit
+# hook writes both files).
 rm -rf build/repro-smoke
 rm -f build/trace-smoke.jsonl build/metrics-smoke.json
-./build/bench/bench_reduce --iters 60 --report-dir build/repro-smoke \
-    --out build/BENCH_reduce_smoke.json \
+./build/bench/fig8_tzer_venn --iters 60 --minimize \
+    --report-dir build/repro-smoke \
     --trace-out build/trace-smoke.jsonl --metrics-out build/metrics-smoke.json
 if ! ls build/repro-smoke/*.repro.txt >/dev/null 2>&1; then
     echo "check.sh: --report-dir produced no .repro.txt report"
     exit 1
 fi
 
-echo "== Tzer smoke: serial coverage-guided campaign with --minimize =="
-# Tzer learns from the campaign loop's coverage feedback, and its
-# minimized TIR repros (no initial buffers) cross the wire format into
-# the merge; a repro that fails to decode aborts the run.
-./build/bench/fig8_tzer_venn --iters 60 --minimize
+echo "== telemetry output: emitted trace/metrics files are valid =="
+scripts/check_docs.sh --validate-telemetry \
+    build/trace-smoke.jsonl build/metrics-smoke.json
 
 echo "== fig11 determinism probe: virtual search budgets are seed-pure =="
 # The value search charges a virtual cost per iteration instead of
@@ -69,46 +70,11 @@ if [[ "$(fig11_table)" != "$(fig11_table)" ]]; then
     exit 1
 fi
 
-echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
-# Exits nonzero unless every backend's sequence bins are nonempty, the
-# three-way Venn center is nonempty, and all shard counts merge
-# byte-identically.
-./build/bench/bench_pass_venn --iters 60 --out build/BENCH_pass_venn_smoke.json
-
-echo "== observability probe: fabric identity + telemetry inertness =="
-# Exits nonzero unless every cell's canonical result rendering
-# (regression verdicts included) and repro report tree are
-# byte-identical across telemetry {off, on} x {thread, process} x
-# shards {1, 2, 4}. The telemetry-off cells are the campaign fabric's
-# thread-vs-process identity gate; the telemetry-on cells are the
-# inertness contract (DESIGN.md "Telemetry").
-./build/bench/bench_observability --iters 60 \
-    --out build/BENCH_observability_smoke.json
-
-echo "== telemetry output: emitted trace/metrics files are valid =="
-scripts/check_docs.sh --validate-telemetry \
-    build/trace-smoke.jsonl build/metrics-smoke.json
-
 echo "== batch probe: batched cases speed up and stay byte-identical =="
 # Exits nonzero unless cases/sec at --batch 16 is >= 1.5x --batch 1 and
 # canonical result renderings and report trees are byte-identical
 # batched-vs-unbatched across {thread, process} x shards {1, 2, 4}.
 ./build/bench/bench_batch --iters 60 --out build/BENCH_batch_smoke.json
-
-echo "== corpus replay probe: re-check the emitted repros =="
-# Replaying a corpus just emitted by the same binary must re-fire every
-# fingerprint; bench_corpus --corpus exits nonzero unless all outcomes
-# classify still-fires (a 'fixed' here means replay failed to re-fire a
-# known bug, not that anything was fixed).
-./build/bench/bench_corpus --corpus build/repro-smoke
-
-echo "== corpus-guided probe: guided >= baseline, shard/mode identity =="
-# Matched-iteration campaigns with --corpus-guided off vs on: the
-# guided runs must discover at least the baseline's coverage bins and
-# deduped bugs, and the guided graph campaign must merge
-# byte-identically across {thread, process} x shards {1, 2, 4}.
-./build/bench/bench_corpus_guided --iters 60 \
-    --out build/BENCH_corpus_guided_smoke.json
 
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== strict: -Wall -Wextra -Werror =="

@@ -90,6 +90,17 @@ if ! grep -q "hardware_threads=$threads" README.md; then
     fail=1
 fi
 
+# ...and the 4-shard speedups README quotes must be the recorded ones.
+for mode in thread process; do
+    speedup="$(grep -E "\"worker_mode\": \"$mode\", \"shards\": 4," \
+        BENCH_parallel_campaign.json \
+        | grep -oE '"speedup_vs_serial": [0-9.]+' | grep -oE '[0-9.]+$')"
+    if [[ -z "$speedup" ]] || ! grep -q "${speedup}x $mode" README.md; then
+        echo "check_docs: README.md does not state the recorded 4-shard $mode speedup '${speedup}x $mode' (BENCH_parallel_campaign.json)"
+        fail=1
+    fi
+done
+
 # The campaign fabric's process workers must stay documented: the flag
 # docs and quickstart reference `--worker-mode process`.
 if ! grep -q -- '--worker-mode process' README.md; then

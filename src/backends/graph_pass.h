@@ -103,8 +103,9 @@ std::vector<std::string> drawGraphPassSequence(const std::string& backend,
 /**
  * The sequence-coverage bins of @p sequence: length bucket, first and
  * last pass, and every adjacent ordered pass pair ("pair/<a>><b>").
- * Shared by recordGraphSequenceCoverage and bench_pass_venn (the
- * coverage registry exposes counts, not key strings).
+ * Shared by recordGraphSequenceCoverage and the three-backend bin
+ * test in tests/parallel_campaign_test.cpp (the coverage registry
+ * exposes counts, not key strings).
  */
 std::vector<std::string> sequenceCoverageBins(
     const std::vector<std::string>& sequence);

@@ -84,8 +84,9 @@ void minimizeBugs(std::vector<fuzz::BugRecord>& bugs,
 
 /**
  * Re-run a (minimized) bug's repro through its oracle and check the
- * fingerprint still fires — the acceptance probe used by tests and
- * bench_reduce. True also for untouched records whose repro fires.
+ * fingerprint still fires — the acceptance probe used by the
+ * minimizing-campaign tests (tests/reduce_test.cpp). True also for
+ * untouched records whose repro fires.
  */
 bool reproStillFires(const fuzz::BugRecord& bug,
                      const std::vector<backends::Backend*>& backends);

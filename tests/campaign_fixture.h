@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "corpus/replay.h"
 #include "difftest/oracle.h"
 #include "fuzz/parallel_campaign.h"
+#include "fuzz/pass_fuzzer.h"
 
 namespace nnsmith::test {
 
@@ -26,15 +28,18 @@ paperFuzzer(uint64_t seed)
         fuzz::NNSmithFuzzer::Options(), seed);
 }
 
-/** 48 iterations of paperFuzzer within 60 virtual minutes, against
- *  all three backends, scored on OrtLite coverage. */
+/** How many iterations paperCampaign runs. */
+constexpr size_t kPaperCampaignIterations = 48;
+
+/** kPaperCampaignIterations of paperFuzzer within 60 virtual minutes,
+ *  against all three backends, scored on OrtLite coverage. */
 inline fuzz::ParallelCampaignConfig
 paperCampaign(int shards, uint64_t master_seed,
               fuzz::WorkerMode mode = fuzz::WorkerMode::kThread)
 {
     fuzz::ParallelCampaignConfig config;
     config.campaign.virtualBudget = 60ll * 60 * 1000;
-    config.campaign.maxIterations = 48;
+    config.campaign.maxIterations = kPaperCampaignIterations;
     config.campaign.coverageComponent = "ortlite";
     config.campaign.sampleEveryMinutes = 10;
     config.shards = shards;
@@ -42,6 +47,34 @@ paperCampaign(int shards, uint64_t master_seed,
     config.masterSeed = master_seed;
     config.fuzzerFactory = paperFuzzer;
     config.backendFactory = difftest::makeAllBackends;
+    return config;
+}
+
+/** paperCampaign's shape with PassSequenceFuzzer over @p options'
+ *  registry, scored on that backend's coverage. TVMLite sequences run
+ *  through the TIR interpreter and need no backend; a graph-pass
+ *  backend is its own oracle, so the campaign owns one instance. */
+inline fuzz::ParallelCampaignConfig
+passSequenceCampaign(int shards, uint64_t master_seed,
+                     fuzz::PassSequenceFuzzer::Options options = {})
+{
+    auto config = paperCampaign(shards, master_seed);
+    const std::string backend = options.backend;
+    config.campaign.coverageComponent.clear();
+    for (const unsigned char c : backend)
+        config.campaign.coverageComponent +=
+            static_cast<char>(std::tolower(c));
+    config.fuzzerFactory = [options](uint64_t seed) {
+        return std::make_unique<fuzz::PassSequenceFuzzer>(seed, options);
+    };
+    config.backendFactory = [backend] {
+        std::vector<std::unique_ptr<backends::Backend>> owned;
+        if (backend == "OrtLite")
+            owned.push_back(backends::makeOrtLite());
+        else if (backend == "TrtLite")
+            owned.push_back(backends::makeTrtLite());
+        return owned;
+    };
     return config;
 }
 

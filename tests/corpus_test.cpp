@@ -27,7 +27,8 @@ using test::borrow;
 using test::freshDir;
 using test::readFile;
 
-/** The acceptance-campaign shape from bench_reduce/bench_corpus. */
+/** The acceptance campaign: NNSmith against the difftest trio with
+ *  --minimize on, scored on TVMLite coverage. */
 fuzz::ParallelCampaignConfig
 graphCampaign(uint64_t seed, size_t iters, const std::string& report_dir)
 {
@@ -45,16 +46,16 @@ graphCampaign(uint64_t seed, size_t iters, const std::string& report_dir)
     return config;
 }
 
+/** The acceptance campaign's shape over PassSequenceFuzzer. */
 fuzz::ParallelCampaignConfig
-sequenceCampaign(uint64_t seed, size_t iters, const std::string& report_dir)
+sequenceCampaign(uint64_t seed, size_t iters, const std::string& report_dir,
+                 fuzz::PassSequenceFuzzer::Options options = {})
 {
-    auto config = graphCampaign(seed, iters, report_dir);
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        return std::make_unique<fuzz::PassSequenceFuzzer>(iteration_seed);
-    };
-    config.backendFactory = [] {
-        return std::vector<std::unique_ptr<backends::Backend>>{};
-    };
+    auto config = test::passSequenceCampaign(1, seed, options);
+    config.campaign.virtualBudget = 240ll * 60 * 1000;
+    config.campaign.maxIterations = iters;
+    config.campaign.minimize = true;
+    config.campaign.reportDir = report_dir;
     return config;
 }
 
@@ -113,20 +114,10 @@ TEST(CorpusRoundTrip, GraphSequenceCampaignSerializeParseReserialize)
     // byte-identically, then replay still-fires under the backend
     // oracle.
     const auto dir = freshDir("nnsmith-corpus-graphseq-roundtrip");
-    auto config = sequenceCampaign(2023, 120, dir.string());
-    config.campaign.coverageComponent = "ortlite";
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        fuzz::PassSequenceFuzzer::Options options;
-        options.backend = "OrtLite";
-        return std::make_unique<fuzz::PassSequenceFuzzer>(iteration_seed,
-                                                          options);
-    };
-    config.backendFactory = [] {
-        std::vector<std::unique_ptr<backends::Backend>> owned;
-        owned.push_back(backends::makeOrtLite());
-        return owned;
-    };
-    fuzz::runParallelCampaign(config);
+    fuzz::PassSequenceFuzzer::Options options;
+    options.backend = "OrtLite";
+    fuzz::runParallelCampaign(
+        sequenceCampaign(2023, 120, dir.string(), options));
 
     const auto entries = corpus::loadCorpusIndex(dir.string());
     ASSERT_GT(entries.size(), 0u);

@@ -34,7 +34,8 @@ TEST(GraphPassRegistry, LookupAndMembership)
     EXPECT_NE(findGraphPass("OrtLite", "fuse.matmul_add_gemm"), nullptr);
     EXPECT_NE(findGraphPass("TrtLite", "tactic.matmul_relu"), nullptr);
     // Pass-name spaces are disjoint across backends (what makes the
-    // bench_pass_venn center region purely structural).
+    // bins shared by all three registries purely structural; see
+    // ParallelCampaign.PassSequenceCampaignsAreShardInvariantAndShareBins).
     EXPECT_EQ(findGraphPass("OrtLite", "tactic.matmul_relu"), nullptr);
     EXPECT_EQ(findGraphPass("TrtLite", "fuse.matmul_add_gemm"), nullptr);
     EXPECT_EQ(findGraphPass("OrtLite", "no.such.pass"), nullptr);

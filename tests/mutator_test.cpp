@@ -3,8 +3,9 @@
  *  mutant), the 500-mutant validity property (every mutant passes
  *  graph/validate and every mutated sequence stays inside the owning
  *  registry), mutant-repro canonicality (render -> parse -> render is
- *  byte-identical), and seed-determinism of the CorpusGuidedFuzzer
- *  end to end. */
+ *  byte-identical), seed-determinism of the CorpusGuidedFuzzer end to
+ *  end, and guided campaigns discovering at least what unguided ones
+ *  do at equal iteration count. */
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -207,6 +208,50 @@ TEST(Mutator, CorpusGuidedFuzzerIsSeedDeterministic)
         ASSERT_EQ(oa.bugs.size(), ob.bugs.size());
         for (size_t k = 0; k < oa.bugs.size(); ++k)
             EXPECT_EQ(oa.bugs[k].dedupKey, ob.bugs[k].dedupKey);
+    }
+}
+
+/** A 60-iteration --minimize campaign at @p seed on one shard:
+ *  NNSmith against the difftest trio scored on every component (guided
+ *  mutants explore the OrtLite/TrtLite pass pipelines as well as
+ *  TVMLite lowering) when @p graph, else TIR pass sequences. */
+fuzz::ParallelCampaignConfig
+discoveryCampaign(bool graph, uint64_t seed)
+{
+    auto config = graph ? test::paperCampaign(1, seed)
+                        : test::passSequenceCampaign(1, seed);
+    if (graph)
+        config.campaign.coverageComponent = "";
+    config.campaign.virtualBudget = 240ll * 60 * 1000;
+    config.campaign.maxIterations = 60;
+    config.campaign.minimize = true;
+    return config;
+}
+
+TEST(Mutator, GuidedCampaignsDiscoverAtLeastTheBaseline)
+{
+    // Emit a corpus at one seed, then measure at a fresh one. Guided
+    // fresh iterations draw the same cases as the baseline's, so the
+    // comparison isolates what the mutated iterations add.
+    for (const bool graph : {true, false}) {
+        const auto corpus = test::freshDir(
+            graph ? "nnsmith-guided-graph" : "nnsmith-guided-seq");
+        auto emit = discoveryCampaign(graph, 2023);
+        emit.campaign.reportDir = corpus.string();
+        fuzz::runParallelCampaign(emit);
+        ASSERT_FALSE(corpus::loadCorpusIndex(corpus.string()).empty());
+
+        const auto baseline =
+            fuzz::runParallelCampaign(discoveryCampaign(graph, 2024));
+        auto guided_config = discoveryCampaign(graph, 2024);
+        guided_config.campaign.corpusDir = corpus.string();
+        guided_config.campaign.corpusGuided = true;
+        const auto guided = fuzz::runParallelCampaign(guided_config);
+        EXPECT_GE(guided.coverPass.count(), baseline.coverPass.count())
+            << (graph ? "graph" : "sequence");
+        EXPECT_GE(guided.bugs.size(), baseline.bugs.size())
+            << (graph ? "graph" : "sequence");
+        std::filesystem::remove_all(corpus);
     }
 }
 

@@ -5,8 +5,10 @@
  *  telemetry {off, on}, at batch 4, and with --minimize and
  *  --corpus-guided on. Each cell must render the same merged result
  *  as the matrix's first cell and write the same report tree. The
- *  telemetry-on cells must also write a well-formed trace and metrics
- *  snapshot. */
+ *  telemetry matrix minimizes and replays a corpus, so regression
+ *  verdicts and report trees are part of what telemetry must not
+ *  change; its telemetry-on cells must also write a well-formed trace
+ *  and metrics snapshot. */
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -25,17 +27,40 @@ using bench::IdentityCell;
 
 constexpr uint64_t kSeed = 2023;
 
+/** A minimized regression corpus that a 2-shard paper campaign of
+ *  @p iterations at kSeed writes into a fresh directory @p name. */
+std::filesystem::path
+emitCorpus(const std::string& name, size_t iterations)
+{
+    const auto corpus = test::freshDir(name);
+    auto emit = test::paperCampaign(2, kSeed);
+    emit.campaign.maxIterations = iterations;
+    emit.campaign.minimize = true;
+    emit.campaign.reportDir = corpus.string();
+    EXPECT_GT(fuzz::runParallelCampaign(emit).bugs.size(), 0u);
+    return corpus;
+}
+
 TEST(PaperIdentity, TelemetryOnOffAcrossWorkersAndShards)
 {
     const auto trace_path = std::filesystem::path(testing::TempDir()) /
                             "nnsmith-paper-identity.jsonl";
     std::filesystem::remove(trace_path);
     obs::metricsReset();
+    constexpr size_t kIterations = 60;
+    const auto corpus =
+        emitCorpus("nnsmith-paper-identity-telemetry", kIterations);
+    const auto reports =
+        test::freshDir("nnsmith-paper-identity-telemetry-reports");
 
     const auto matrix = bench::runIdentityMatrix(
-        "",
-        [&](const IdentityCell& cell, const std::string&) {
+        reports,
+        [&](const IdentityCell& cell, const std::string& report_dir) {
             auto config = test::paperCampaign(cell.shards, kSeed, cell.mode);
+            config.campaign.maxIterations = kIterations;
+            config.campaign.minimize = true;
+            config.campaign.reportDir = report_dir;
+            config.campaign.corpusDir = corpus.string();
             if (cell.variant == "off")
                 return fuzz::runParallelCampaign(config);
             if (!obs::metricsEnabled()) {
@@ -86,6 +111,11 @@ TEST(PaperIdentity, TelemetryOnOffAcrossWorkersAndShards)
     EXPECT_TRUE(matrix.identical());
     EXPECT_GT(matrix.reference.iterations, 0u);
     EXPECT_GT(matrix.reference.coverAll.count(), 0u);
+    EXPECT_FALSE(matrix.reference.bugs.empty());
+    EXPECT_FALSE(matrix.referenceTree.empty());
+    EXPECT_GT(matrix.reference.regressions.total(), 0u);
+    std::filesystem::remove_all(corpus);
+    std::filesystem::remove_all(reports);
     // The telemetry-on cells recorded generation and value-search
     // outcomes while staying inert: every search counts once, as a
     // success or as a fallback to random leaves.
@@ -126,12 +156,9 @@ TEST(PaperIdentity, MinimizeAndCorpusGuidedAcrossWorkersAndShards)
     // loaded once on the coordinator, and each iteration consumes only
     // its own derived-seed RNG, so every cell must merge — and write
     // its minimized report tree and regressions.tsv — byte-identically.
-    const auto corpus = test::freshDir("nnsmith-paper-identity-corpus");
+    const auto corpus = emitCorpus("nnsmith-paper-identity-corpus",
+                                   test::kPaperCampaignIterations);
     const auto reports = test::freshDir("nnsmith-paper-identity-reports");
-    auto emit = test::paperCampaign(2, kSeed);
-    emit.campaign.minimize = true;
-    emit.campaign.reportDir = corpus.string();
-    ASSERT_GT(fuzz::runParallelCampaign(emit).bugs.size(), 0u);
 
     const auto replaying = [&](int shards, fuzz::WorkerMode mode) {
         auto config = test::paperCampaign(shards, kSeed, mode);

@@ -8,8 +8,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
+#include <sstream>
 
 #include "backends/backend.h"
+#include "backends/graph_pass.h"
 #include "campaign_fixture.h"
 #include "corpus/replay.h"
 #include "fuzz/parallel_campaign.h"
@@ -198,19 +201,8 @@ TEST(ParallelCampaign, PassSequenceFuzzerIsShardInvariant)
     // per-iteration seed and keeps no corpus, so it qualifies for the
     // sharded runner: merged results must be byte-identical.
     auto make = [](int shards) {
-        ParallelCampaignConfig config;
-        config.campaign.virtualBudget = 60ll * 60 * 1000;
+        auto config = test::passSequenceCampaign(shards, 2023);
         config.campaign.maxIterations = 80;
-        config.campaign.coverageComponent = "tvmlite";
-        config.campaign.sampleEveryMinutes = 10;
-        config.shards = shards;
-        config.masterSeed = 2023;
-        config.fuzzerFactory = [](uint64_t seed) {
-            return std::make_unique<fuzz::PassSequenceFuzzer>(seed);
-        };
-        config.backendFactory = [] {
-            return std::vector<std::unique_ptr<backends::Backend>>{};
-        };
         return config;
     };
     const auto serial = fuzz::runParallelCampaign(make(1));
@@ -245,53 +237,64 @@ TEST(ParallelCampaign, PassFuzzedTvmLiteIsShardInvariant)
               fuzz::renderCampaignResult(sharded));
 }
 
-/** PassSequenceFuzzer in graph mode: the backend under test is its
- *  own oracle (run(kO0) vs runWithPasses). */
-ParallelCampaignConfig
-graphPassFuzzConfig(const std::string& backend,
-                    const std::string& component, int shards,
-                    uint64_t master_seed)
+/** The sequence-coverage bins a pass-sequence campaign explored,
+ *  rebuilt from its merged instance keys ("tirseq/<a,b,...>" or
+ *  "passseq/<backend>/<a,b,...>"): the coverage registry exposes
+ *  counts, not bin names. */
+std::set<std::string>
+sequenceBins(const CampaignResult& result)
 {
-    ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 60ll * 60 * 1000;
-    config.campaign.maxIterations = 60;
-    config.campaign.coverageComponent = component;
-    config.campaign.sampleEveryMinutes = 10;
-    config.shards = shards;
-    config.masterSeed = master_seed;
-    config.fuzzerFactory = [backend](uint64_t seed) {
-        fuzz::PassSequenceFuzzer::Options options;
-        options.backend = backend;
-        options.generator.targetOpNodes = 6;
-        return std::make_unique<fuzz::PassSequenceFuzzer>(seed, options);
-    };
-    config.backendFactory = [backend] {
-        std::vector<std::unique_ptr<backends::Backend>> owned;
-        owned.push_back(backend == "OrtLite" ? backends::makeOrtLite()
-                                             : backends::makeTrtLite());
-        return owned;
-    };
-    return config;
+    std::set<std::string> bins;
+    for (const auto& key : result.instanceKeys) {
+        std::string joined;
+        if (key.rfind("tirseq/", 0) == 0)
+            joined = key.substr(7);
+        else if (key.rfind("passseq/", 0) == 0)
+            joined = key.substr(key.find('/', 8) + 1);
+        else
+            continue;
+        std::vector<std::string> sequence;
+        std::istringstream in(joined);
+        for (std::string pass; std::getline(in, pass, ',');)
+            sequence.push_back(pass);
+        for (auto& bin : backends::sequenceCoverageBins(sequence))
+            bins.insert(std::move(bin));
+    }
+    return bins;
 }
 
-TEST(ParallelCampaign, GraphPassFuzzIsShardInvariant)
+TEST(ParallelCampaign, PassSequenceCampaignsAreShardInvariantAndShareBins)
 {
-    for (const auto& [backend, component] :
-         {std::pair{"OrtLite", "ortlite"}, std::pair{"TrtLite", "trtlite"}}) {
-        const auto serial = fuzz::runParallelCampaign(
-            graphPassFuzzConfig(backend, component, 1, 2023));
-        const auto two = fuzz::runParallelCampaign(
-            graphPassFuzzConfig(backend, component, 2, 2023));
-        const auto four = fuzz::runParallelCampaign(
-            graphPassFuzzConfig(backend, component, 4, 2023));
-        // <component>/pass/seq bins and passseq/<backend>/... keys.
-        EXPECT_GT(serial.coverPass.count(), 0u) << backend;
-        EXPECT_FALSE(serial.instanceKeys.empty()) << backend;
-        EXPECT_EQ(fuzz::renderCampaignResult(serial),
-                  fuzz::renderCampaignResult(two));
-        EXPECT_EQ(fuzz::renderCampaignResult(serial),
-                  fuzz::renderCampaignResult(four));
+    // The paper's Fig. 8 "what do the systems share?" question in
+    // pass-sequence space: each backend's campaign merges identically
+    // at shards {1, 2, 4}, explores a nonempty bin set, and the three
+    // sets meet. Pass names are disjoint across registries, so the
+    // shared bins are structural (sequence-length buckets).
+    std::vector<std::set<std::string>> bins;
+    for (const char* backend : {"OrtLite", "TVMLite", "TrtLite"}) {
+        fuzz::PassSequenceFuzzer::Options options;
+        options.backend = backend;
+        std::string first;
+        for (const int shards : {1, 2, 4}) {
+            auto config = test::passSequenceCampaign(shards, 2023, options);
+            config.campaign.virtualBudget = 240ll * 60 * 1000;
+            config.campaign.maxIterations = 60;
+            const auto result = fuzz::runParallelCampaign(config);
+            const std::string render = fuzz::renderCampaignResult(result);
+            if (shards == 1) {
+                EXPECT_EQ(result.iterations, 60u) << backend;
+                EXPECT_GT(result.coverPass.count(), 0u) << backend;
+                first = render;
+                bins.push_back(sequenceBins(result));
+                EXPECT_FALSE(bins.back().empty()) << backend;
+            }
+            EXPECT_EQ(render, first) << backend << " shards=" << shards;
+        }
     }
+    size_t shared = 0;
+    for (const auto& bin : bins[0])
+        shared += bins[1].count(bin) != 0 && bins[2].count(bin) != 0;
+    EXPECT_GT(shared, 0u);
 }
 
 TEST(ParallelCampaign, GraphPassFuzzCorpusReplayIsShardInvariant)
@@ -300,13 +303,19 @@ TEST(ParallelCampaign, GraphPassFuzzCorpusReplayIsShardInvariant)
     // replay — must still be byte-identical for shards {1, 2, 4}:
     // the emitted graph-sequence repros round-trip through the corpus
     // and re-fire under the backend-oracle replay.
+    fuzz::PassSequenceFuzzer::Options options;
+    options.backend = "OrtLite";
+    options.generator.targetOpNodes = 6;
+    const auto config = [&](int shards) {
+        auto config = test::passSequenceCampaign(shards, 2023, options);
+        config.campaign.maxIterations = 60;
+        return config;
+    };
     std::vector<ParallelCampaignConfig> replays;
     for (const int shards : {1, 2, 4})
-        replays.push_back(
-            graphPassFuzzConfig("OrtLite", "ortlite", shards, 2023));
-    test::expectCorpusReplaysMatch(
-        graphPassFuzzConfig("OrtLite", "ortlite", 2, 2023), replays,
-        "nnsmith-passfuzz-corpus-shards");
+        replays.push_back(config(shards));
+    test::expectCorpusReplaysMatch(config(2), replays,
+                                   "nnsmith-passfuzz-corpus-shards");
 }
 
 TEST(ParallelCampaign, CorpusReplayIsShardInvariant)

@@ -261,6 +261,25 @@ TEST(PassSequenceReducer, MinimalFailingSubsequence)
 
 // ---- campaign integration -------------------------------------------------
 
+/** Median minimizedSize / originalSize over @p result's minimized
+ *  repros (1 when there are none). */
+double
+medianReductionRatio(const CampaignResult& result)
+{
+    std::vector<double> ratios;
+    for (const auto& [key, bug] : result.bugs) {
+        if (bug.minimized)
+            ratios.push_back(static_cast<double>(bug.minimizedSize) /
+                             static_cast<double>(bug.originalSize));
+    }
+    if (ratios.empty())
+        return 1.0;
+    std::sort(ratios.begin(), ratios.end());
+    const size_t mid = ratios.size() / 2;
+    return ratios.size() % 2 == 1 ? ratios[mid]
+                                   : 0.5 * (ratios[mid - 1] + ratios[mid]);
+}
+
 TEST(MinimizingCampaign, MinimizeDoesNotChangeCoverageOrIterations)
 {
     auto config = test::paperCampaign(2, 43);
@@ -280,7 +299,8 @@ TEST(MinimizingCampaign, MinimizeDoesNotChangeCoverageOrIterations)
 
 TEST(MinimizingCampaign, FlaggedBugsAreMinimizedAndRefire)
 {
-    auto config = test::paperCampaign(2, 41);
+    auto config = test::paperCampaign(2, 2023);
+    config.campaign.maxIterations = 60;
     config.campaign.minimize = true;
     const auto result = fuzz::runParallelCampaign(config);
     const auto owned = difftest::makeAllBackends();
@@ -296,6 +316,27 @@ TEST(MinimizingCampaign, FlaggedBugsAreMinimizedAndRefire)
         EXPECT_TRUE(reduce::reproStillFires(bug, all)) << key;
     }
     EXPECT_GT(with_repro, 0u);
+    // Reduction must pay off, not only terminate: the typical repro
+    // keeps at most half of the flagged graph's op nodes.
+    EXPECT_LE(medianReductionRatio(result), 0.5);
+}
+
+TEST(MinimizingCampaign, FlaggedSequencesAreMinimizedAndRefire)
+{
+    auto config = test::passSequenceCampaign(1, 2023);
+    config.campaign.maxIterations = 60;
+    config.campaign.minimize = true;
+    const auto result = fuzz::runParallelCampaign(config);
+    size_t with_repro = 0;
+    for (const auto& [key, bug] : result.bugs) {
+        if (bug.seqRepro == nullptr)
+            continue;
+        ++with_repro;
+        EXPECT_TRUE(bug.minimized) << key;
+        EXPECT_TRUE(reduce::reproStillFires(bug, {})) << key;
+    }
+    EXPECT_GT(with_repro, 0u);
+    EXPECT_LE(medianReductionRatio(result), 0.5);
 }
 
 // ---- report writer --------------------------------------------------------
